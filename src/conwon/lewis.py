@@ -27,14 +27,14 @@ from .formula import (
     Falsum,
     Formula,
     Not,
-    atoms,
+    dialect_of,
     is_flat,
     is_propositional,
     render,
     translate_flat,
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
-from .semantics import ContextualizedPointedModel, SearchBounds, evaluate, satisfying_witness
+from .semantics import ContextualizedPointedModel, SearchBounds, evaluate, satisfying_witness, search_points
 
 OrderPairs = FrozenSet[Tuple[str, str]]
 
@@ -337,13 +337,18 @@ def iter_pseudo_sphere_models(atom_names: Sequence[str], max_worlds: int) -> Ite
 
 
 def satisfying_witness_v(f: Formula, max_worlds: int) -> Optional[Tuple[PseudoSphereModelV, str]]:
-    """First enumerated pseudo-sphere point satisfying ``f``, if any."""
-    names = tuple(sorted(atoms(f))) or ("p",)
-    for m in iter_pseudo_sphere_models(names, max_worlds):
-        for w in m.model.worlds:
-            if eval_v(m, w, f):
-                return m, w
-    return None
+    """First pseudo-sphere point satisfying ``f``, if any.
+
+    The chain kernel over every chain, i.e. every ordered partition read as
+    spheres; the witness is re-checked with :func:`eval_v`.
+    """
+    witness = search_points([f], SearchBounds(max_worlds, max_worlds), lambda masks, full: masks[0])
+    if witness is None:
+        return None
+    m, w = _transport_conwon_to_v(witness)
+    if not eval_v(m, w, f):
+        raise RuntimeError(f"kernel witness for {render(f)} does not hold up: {m.to_json()} at {w}")
+    return m, w
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,7 @@ def _transport_conwon_to_v(witness: ContextualizedPointedModel) -> Tuple[PseudoS
         raise ValueError("transport expects a sequence context")
     entries = (model.world_set,) + tuple(seq)
     ys = context_to_partition(entries, model.world_set)
-    spheres = tuple(reversed(ys))
+    spheres = tuple(y for y in reversed(ys) if y)
     return PseudoSphereModelV(model, spheres), witness.world
 
 
@@ -398,7 +403,7 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
     """
     if not is_flat(f):
         raise ValueError("equivalence harness expects a flat formula")
-    f_conwon = translate_flat(f, "conwon") if _mentions_corner(f) else f
+    f_conwon = translate_flat(f, "conwon") if dialect_of(f) == "v" else f
     f_v = translate_flat(f_conwon, "v")
 
     conwon_wit = satisfying_witness(f_conwon, bounds)
@@ -427,14 +432,3 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
         )
     return report
 
-
-def _mentions_corner(f: Formula) -> bool:
-    if isinstance(f, CondCorner):
-        return True
-    if isinstance(f, Not):
-        return _mentions_corner(f.child)
-    if isinstance(f, And):
-        return _mentions_corner(f.left) or _mentions_corner(f.right)
-    if isinstance(f, CondBox):
-        return _mentions_corner(f.antecedent) or _mentions_corner(f.consequent)
-    return False

@@ -27,6 +27,7 @@ from .formula import (
     Formula,
     Not,
     ParseError,
+    atoms,
     is_closed,
     is_flat,
     is_propositional,
@@ -189,23 +190,13 @@ def tautological_consequence(premises: Sequence[Formula], conclusion: Formula) -
     skel_premises = [_skeleton(p, table) for p in premises]
     skel_conclusion = _skeleton(conclusion, table)
     names = sorted(set().union(*(
-        _atom_names(s) for s in skel_premises + [skel_conclusion]
+        atoms(s) for s in skel_premises + [skel_conclusion]
     )))
     for bits in itertools.product([False, True], repeat=len(names)):
         row = dict(zip(names, bits))
         if all(_truth(p, row) for p in skel_premises) and not _truth(skel_conclusion, row):
             return False
     return True
-
-
-def _atom_names(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    if isinstance(f, Not):
-        return _atom_names(f.child)
-    if isinstance(f, And):
-        return _atom_names(f.left) | _atom_names(f.right)
-    return frozenset()
 
 
 def is_tautology(f: Formula) -> bool:
@@ -424,29 +415,10 @@ class SweepReport:
         return not self.failures
 
 
-def _metavariables(schema: Schema) -> Tuple[str, ...]:
-    return tuple(sorted(_template_vars(schema.template)))
-
-
-def _template_vars(t: Formula) -> frozenset:
-    if isinstance(t, Atom):
-        return frozenset({t.name})
-    if isinstance(t, Not):
-        return _template_vars(t.child)
-    if isinstance(t, And):
-        return _template_vars(t.left) | _template_vars(t.right)
-    if isinstance(t, CondBox):
-        return _template_vars(t.antecedent) | _template_vars(t.consequent)
-    if isinstance(t, CondCorner):
-        return _template_vars(t.left) | _template_vars(t.right)
-    return frozenset()
-
-
 def soundness_sweep(system: str, bounds) -> SweepReport:
     """Search for countermodels to axiom instances; failures falsify soundness."""
     from .semantics import find_countermodel
-    from .lewis import eval_v, iter_pseudo_sphere_models
-    from .formula import atoms as formula_atoms
+    from .lewis import satisfying_witness_v
 
     spec = SYSTEMS[system]
     dialect = spec["dialect"]
@@ -458,7 +430,7 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
                for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
     }
     for schema in spec["axioms"]:
-        variables = _metavariables(schema)
+        variables = tuple(sorted(atoms(schema.template)))
         choices = [pools[schema.conditions.get(v)] for v in variables]
         for combo in itertools.product(*choices):
             subst = dict(zip(variables, combo))
@@ -469,12 +441,8 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
                 if witness is not None:
                     report.failures.append(f"{schema.identifier}: falsified by {witness}")
             else:
-                names = tuple(sorted(formula_atoms(instance))) or ("p",)
-                for m in iter_pseudo_sphere_models(names, bounds.max_worlds):
-                    bad = [w for w in m.model.worlds if not eval_v(m, w, instance)]
-                    if bad:
-                        report.failures.append(
-                            f"{schema.identifier}: false at {bad[0]} of {m.to_json()}"
-                        )
-                        break
+                found = satisfying_witness_v(Not(instance), bounds.max_worlds)
+                if found is not None:
+                    m, w = found
+                    report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
     return report

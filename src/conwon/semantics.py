@@ -1,34 +1,49 @@
 """Truth evaluation over contextualized pointed models and bounded search.
 
-Two evaluation paths live here:
+:func:`evaluate` is the set-based reference evaluator, with optional traces
+of every conditional step.  A bitmask kernel (:class:`ModelEvaluator`) in
+one enumeration loop, :func:`search_points`, serves the bounded searches
+and, for ``|>``, ``lewis.satisfying_witness_v``.
 
-* :func:`evaluate` -- a direct, set-based recursive evaluator over either
-  context representation, optionally recording a trace of every
-  conditional step (generated default, updated context, hierarchy,
-  expected states, per-world verdicts).
-* a bitmask engine used by :func:`find_countermodel` and the validity
-  helpers, which enumerates all models over a formula's atoms and all
-  duplicate-free sequence contexts up to a bound.
+Chain normal form.  A sequence context X1...Xk matters to truth only
+through its chain of running intersections S_j = X1 & ... & X_j, kept
+while nonempty, repeats and a leading W dropped: W > S1 > ... > Sm > {}.
+The expected states of the update a.X are the last nonempty set among
+a, a & S1, a & S2, ..., and the chain of a.X is that sequence normalized
+(:func:`update_chain`), so by induction on formulas contexts with one
+chain satisfy the same formulas.  Every chain S1...Sm is the chain of the
+duplicate-free context (S1, ..., Sm), or (W) when empty, so chains of
+length <= L stand exactly for contexts of length <= L; chains have length
+<= |W| - 1, so a larger context bound saturates.  Chains are the ordered
+partitions W - S1, S1 - S2, ..., Sm of W (Fubini numbers 1, 3, 13, 75),
+the paper's pseudo-sphere systems: with spheres Sm, S(m-1) - Sm, ...,
+W - S1, the least sphere meeting ext(phi) meets it in the expected set
+of phi under the chain, so ``phi |> psi`` is the box clause with the
+chain held fixed.
 
-The search prunes contexts by an exact behavioural signature: the truth
-of any formula of modal depth <= d at a context depends on the context
-only through the expected-state sets reachable by update chains of
-length <= d, so contexts sharing that signature are interchangeable.
-The representative kept for each class is the first in canonical
-enumeration order, which keeps reported countermodels deterministic.
+Valuations as sets of world types.  A world's type is the bitmask of the
+atoms true at it.  Every truth mask is a union of types (atoms are,
+conditionals give all worlds or none), and so is every default an update
+adds; hence whether a meets S_j, and which types a & S_j holds, depend on
+S_j only through its types.  By induction on formulas a point is then
+equivalent to the point on one world per type present, with the chain of
+the entries' type sets: no more worlds, no longer chain.  So searching
+sets of distinct types, in increasing order, with every chain finds a
+falsifying point whenever one exists, and 2^k worlds saturate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from math import comb
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .formula import (
     And,
     Atom,
     CondBox,
+    CondCorner,
     Falsum,
     Formula,
     Not,
@@ -162,8 +177,10 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 
 
 # ---------------------------------------------------------------------------
-# Bitmask engine
+# Bitmask kernel over chains
 # ---------------------------------------------------------------------------
+
+Chain = Tuple[int, ...]
 
 
 def e_mask(chain: Tuple[int, ...]) -> int:
@@ -179,12 +196,40 @@ def e_mask(chain: Tuple[int, ...]) -> int:
     return current
 
 
+def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
+    """Chain of alpha.X for X with chain S1...Sm: normalize(alpha, alpha & S1, ...).
+
+    Stops at the first empty entry and drops repeats and a leading W.  For
+    nonempty alpha the last entry (W if none) is the expected set of alpha.X.
+    """
+    if not alpha:
+        return ()
+    entries = [] if alpha == full else [alpha]
+    current = alpha
+    for s in chain:
+        narrowed = alpha & s
+        if not narrowed:
+            break
+        if narrowed != current:
+            entries.append(narrowed)
+            current = narrowed
+    return tuple(entries)
+
+
+def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
+    """Chain normal form of a sequence context given as bitmasks."""
+    chain: Chain = ()
+    for entry in reversed(context):
+        chain = update_chain(entry, chain, (1 << n_worlds) - 1)
+    return chain
+
+
 class CompiledFormula:
-    """A conwon formula lowered to an indexed node array.
+    """A formula lowered to an indexed node array.
 
     Structurally identical subterms share a node, so memoized results
     are shared too.  Node ops: ("atom", name), ("false",), ("not", i),
-    ("and", i, j), ("box", i, j).
+    ("and", i, j), ("box", i, j), ("corner", i, j).
     """
 
     def __init__(self, f: Formula):
@@ -203,8 +248,10 @@ class CompiledFormula:
             key = ("and", self._add(f.left), self._add(f.right))
         elif isinstance(f, CondBox):
             key = ("box", self._add(f.antecedent), self._add(f.consequent))
+        elif isinstance(f, CondCorner):
+            key = ("corner", self._add(f.left), self._add(f.right))
         else:
-            raise TypeError(f"not a conwon formula: {f!r}")
+            raise TypeError(f"not a formula: {f!r}")
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.nodes)
@@ -216,17 +263,18 @@ class CompiledFormula:
 class ModelEvaluator:
     """Evaluates a compiled formula on one bitmask model.
 
-    ``truth_mask(node, ctx)`` returns the set of worlds (as a bitmask)
-    satisfying the node under the sequence context ``ctx`` (a tuple of
-    bitmasks).  Conditional nodes are world-independent, so their value
-    is either the full mask or 0.
+    ``truth_mask(node, chain)`` returns the set of worlds (as a bitmask)
+    satisfying the node under contexts with that chain, the memo key.
+    ``[a]phi`` checks phi at the expected set of a under the updated chain,
+    ``phi |> psi`` checks psi at the expected set of phi under the same
+    chain; both are world-independent: the full mask or 0.
     """
 
     def __init__(self, compiled: CompiledFormula, n_worlds: int, valuation: Dict[str, int]):
         self.compiled = compiled
         self.full = (1 << n_worlds) - 1
         self.prop: List[Optional[int]] = []
-        self.memo: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        self.memo: Dict[Tuple[int, Chain], int] = {}
         # Masks for propositional nodes are context-free; precompute them.
         for op in compiled.nodes:
             if op[0] == "atom":
@@ -242,25 +290,28 @@ class ModelEvaluator:
             else:
                 self.prop.append(None)
 
-    def truth_mask(self, node: int, ctx: Tuple[int, ...]) -> int:
+    def truth_mask(self, node: int, chain: Chain) -> int:
         mask = self.prop[node]
         if mask is not None:
             return mask
-        key = (node, ctx)
+        key = (node, chain)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         op = self.compiled.nodes[node]
         if op[0] == "not":
-            result = self.full & ~self.truth_mask(op[1], ctx)
+            result = self.full & ~self.truth_mask(op[1], chain)
         elif op[0] == "and":
-            result = self.truth_mask(op[1], ctx) & self.truth_mask(op[2], ctx)
-        else:  # box
-            generated = self.prop[op[1]]
-            updated = (generated,) + ctx
-            exp = e_mask(updated)
-            holds = exp & ~self.truth_mask(op[2], updated) == 0
-            result = self.full if holds else 0
+            result = self.truth_mask(op[1], chain) & self.truth_mask(op[2], chain)
+        else:  # box or corner
+            alpha = self.truth_mask(op[1], chain)
+            result = self.full
+            if alpha:
+                updated = update_chain(alpha, chain, self.full)
+                exp = updated[-1] if updated else self.full
+                inner = updated if op[0] == "box" else chain
+                if exp & ~self.truth_mask(op[2], inner):
+                    result = 0
         self.memo[key] = result
         return result
 
@@ -284,43 +335,44 @@ def iter_contexts(n_worlds: int, max_len: int):
         yield from itertools.permutations(subsets, length)
 
 
-def _signature(ctx: Tuple[int, ...], n_worlds: int, depth: int) -> tuple:
-    if depth <= 0:
-        return ()
-    entries = []
-    for d in range(1 << n_worlds):
-        chain = (d,) + ctx
-        entries.append((e_mask(chain), _signature(chain, n_worlds, depth - 1)))
-    return tuple(entries)
+def iter_canonical_valuations(atom_names: Tuple[str, ...], n_worlds: int):
+    """One valuation per set of n distinct world types, worlds in type order."""
+    for types in itertools.combinations(range(1 << len(atom_names)), n_worlds):
+        yield {
+            a: sum(1 << w for w, t in enumerate(types) if t >> i & 1)
+            for i, a in enumerate(atom_names)
+        }
 
 
-@lru_cache(maxsize=None)
-def context_representatives(n_worlds: int, max_len: int, depth: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonically-first representative of each behaviour class.
+def chains(n_worlds: int, max_len: int) -> Tuple[Chain, ...]:
+    """The empty chain, then every chain of length <= max_len, shortest first.
 
-    Two contexts behave identically on formulas of modal depth <= depth
-    when their signatures agree, so validity checks only need one
-    context per class.  depth 0 keeps every context (no pruning basis).
+    A chain is a strictly decreasing sequence of nonempty proper subsets
+    of the n-world set.
     """
-    if depth <= 0:
-        return tuple(iter_contexts(n_worlds, max_len))
-    seen = {}
-    for ctx in iter_contexts(n_worlds, max_len):
-        sig = _signature(ctx, n_worlds, depth)
-        if sig not in seen:
-            seen[sig] = ctx
-    return tuple(seen.values())
+    found: List[Chain] = [()]
+    for chain in found:  # breadth first: the list grows as it is walked
+        if len(chain) < max_len:
+            top = chain[-1] if chain else (1 << n_worlds) - 1
+            found += [chain + (s,) for s in range(1, top) if s & top == s]
+    return tuple(found)
 
 
-MAX_SIG_DEPTH = 3
+def chain_count(n_worlds: int, max_len: int) -> int:
+    """``len(chains(n_worlds, max_len))`` without enumerating them.
+
+    A chain of length m is an ordered partition of the worlds into m + 1
+    blocks, i.e. a surjection onto m + 1 labels (inclusion-exclusion).
+    """
+    return sum(
+        (-1) ** i * comb(blocks, i) * (blocks - i) ** n_worlds
+        for blocks in range(1, min(max_len, n_worlds - 1) + 2)
+        for i in range(blocks + 1)
+    )
 
 
 def mask_to_worlds(mask: int, worlds: Tuple[str, ...]) -> FrozenSet[str]:
     return frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
-
-
-def _world_names(n: int) -> Tuple[str, ...]:
-    return tuple(f"w{i + 1}" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -331,64 +383,65 @@ class SearchBounds:
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_context_len < 1:
-            raise ValueError("bounds must be at least 1")
+            raise EvaluationError("bounds must be at least 1")
 
 
-def find_countermodel(
-    f: Formula,
+def search_points(
+    formulas: Sequence[Formula],
     bounds: SearchBounds,
-    prune: bool = True,
+    select: Callable[[List[int], int], int],
 ) -> Optional[ContextualizedPointedModel]:
-    """First contextualized pointed model falsifying ``f``, if any.
+    """The one enumeration loop: the first point ``select`` picks, or ``None``.
 
-    Searches all models over the atoms of ``f`` with at most
-    ``bounds.max_worlds`` worlds and all duplicate-free sequence
-    contexts up to ``bounds.max_context_len``.  ``None`` means "valid
-    up to bound", not validity.
+    Goes over |W| (at most the 2^k types), canonical valuations and chains of
+    length <= the context bound (only the empty chain without conditionals).
+    ``select(masks, full)`` maps the formulas' truth masks to the worlds to
+    report (the lowest is); the chain is the witness context, (W) if empty.
+    Raises EvaluationError when the (valuation, chain) pairs exceed
+    ``bounds.max_enumeration``.
     """
-    atom_names = tuple(sorted(atoms(f))) or ("p",)
-    compiled = CompiledFormula(f)
-    depth = modal_depth(f)
-    sig_depth = depth if prune and 0 < depth <= MAX_SIG_DEPTH else 0
-
+    names = tuple(sorted(frozenset().union(*map(atoms, formulas)))) or ("p",)
+    max_len = bounds.max_context_len if max(map(modal_depth, formulas)) else 0
+    max_worlds = min(bounds.max_worlds, 1 << len(names))
     total = 0
-    for n in range(1, bounds.max_worlds + 1):
-        total += (1 << (n * len(atom_names))) * _context_count(n, bounds.max_context_len)
-    if total > bounds.max_enumeration:
-        raise EvaluationError(
-            f"enumeration of {total} (model, context) pairs exceeds the cap "
-            f"of {bounds.max_enumeration}"
-        )
+    for n in range(1, max_worlds + 1):
+        total += comb(1 << len(names), n) * chain_count(n, max_len)
+        if total > bounds.max_enumeration:
+            raise EvaluationError(
+                f"enumeration of at least {total} (valuation, chain) pairs exceeds the cap "
+                f"of {bounds.max_enumeration}"
+            )
 
-    for n in range(1, bounds.max_worlds + 1):
-        worlds = _world_names(n)
+    compiled = [CompiledFormula(f) for f in formulas]
+    for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        contexts = context_representatives(n, bounds.max_context_len, sig_depth)
-        for valuation in iter_models(atom_names, n):
-            ev = ModelEvaluator(compiled, n, valuation)
-            for ctx in contexts:
-                mask = ev.truth_mask(compiled.root, ctx)
-                if mask != full:
-                    world_idx = next(i for i in range(n) if not mask >> i & 1)
-                    model = Model(
-                        worlds=worlds,
-                        valuation={a: mask_to_worlds(m, worlds) for a, m in valuation.items()},
-                    )
-                    context = SequenceContext(tuple(mask_to_worlds(d, worlds) for d in ctx))
-                    return ContextualizedPointedModel(model, context, worlds[world_idx])
+        candidates = chains(n, min(max_len, n - 1))
+        for valuation in iter_canonical_valuations(names, n):
+            evaluators = [ModelEvaluator(c, n, valuation) for c in compiled]
+            for chain in candidates:
+                picked = select([ev.truth_mask(ev.compiled.root, chain) for ev in evaluators], full)
+                if picked:
+                    worlds = tuple(f"w{i + 1}" for i in range(n))
+                    model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
+                    context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
+                    world = worlds[(picked & -picked).bit_length() - 1]
+                    return ContextualizedPointedModel(model, SequenceContext(context), world)
     return None
 
 
-def _context_count(n_worlds: int, max_len: int) -> int:
-    subsets = 1 << n_worlds
-    count = 0
-    term = 1
-    for k in range(1, max_len + 1):
-        if k > subsets:
-            break
-        term *= subsets - (k - 1)
-        count += term
-    return count
+def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
+    """First contextualized pointed model falsifying ``f``, if any.
+
+    Exact for all models over the atoms of ``f`` with at most
+    ``bounds.max_worlds`` worlds and all sequence contexts of length at
+    most ``bounds.max_context_len``.  ``None`` means "valid up to
+    bound", not validity.  The witness is re-checked with
+    :func:`evaluate`; a mismatch is an internal fault (``RuntimeError``).
+    """
+    witness = search_points([f], bounds, lambda masks, full: full & ~masks[0])
+    if witness is not None and eval_cpm(witness, f):
+        raise RuntimeError(f"kernel countermodel to {render(f)} does not hold up: {witness.to_json()}")
+    return witness
 
 
 def is_valid_up_to(f: Formula, bounds: SearchBounds) -> bool:
@@ -409,33 +462,17 @@ def truth_masks_agree(
     g: Formula,
     max_worlds: int,
     max_context_len: int,
-    prune: bool = True,
 ) -> Optional[ContextualizedPointedModel]:
     """First enumerated point where ``f`` and ``g`` disagree, or ``None``.
 
-    Compares world-by-world truth of the two formulas over every
-    enumerated model and duplicate-free sequence context.
+    Compares world-by-world truth of the two formulas over the same
+    points as :func:`find_countermodel`; the witness is re-checked with
+    :func:`evaluate`.
     """
-    atom_names = tuple(sorted(atoms(f) | atoms(g))) or ("p",)
-    cf, cg = CompiledFormula(f), CompiledFormula(g)
-    depth = max(modal_depth(f), modal_depth(g))
-    sig_depth = depth if prune and 0 < depth <= MAX_SIG_DEPTH else 0
-    for n in range(1, max_worlds + 1):
-        worlds = _world_names(n)
-        contexts = context_representatives(n, max_context_len, sig_depth)
-        for valuation in iter_models(atom_names, n):
-            evf = ModelEvaluator(cf, n, valuation)
-            evg = ModelEvaluator(cg, n, valuation)
-            for ctx in contexts:
-                mf = evf.truth_mask(cf.root, ctx)
-                mg = evg.truth_mask(cg.root, ctx)
-                if mf != mg:
-                    diff = mf ^ mg
-                    world_idx = next(i for i in range(n) if diff >> i & 1)
-                    model = Model(
-                        worlds=worlds,
-                        valuation={a: mask_to_worlds(m, worlds) for a, m in valuation.items()},
-                    )
-                    context = SequenceContext(tuple(mask_to_worlds(d, worlds) for d in ctx))
-                    return ContextualizedPointedModel(model, context, worlds[world_idx])
-    return None
+    bounds = SearchBounds(max_worlds, max_context_len)
+    witness = search_points([f, g], bounds, lambda masks, full: masks[0] ^ masks[1])
+    if witness is not None and eval_cpm(witness, f) == eval_cpm(witness, g):
+        raise RuntimeError(
+            f"kernel disagreement of {render(f)} and {render(g)} does not hold up: {witness.to_json()}"
+        )
+    return witness

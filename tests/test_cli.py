@@ -13,6 +13,7 @@ from conwon.fixtures import (
 )
 from conwon.formula import parse_formula
 from conwon.models import load_context, load_model
+from conwon.semantics import evaluate
 
 
 @pytest.fixture
@@ -170,6 +171,38 @@ def test_falsify_validity_exit_0(runner):
     ])
     assert result.exit_code == 0
     assert "no countermodel" in result.output
+
+
+def test_falsify_propositional_needs_one_context(runner):
+    # the cap counts canonical valuations times chains, one chain here
+    result = runner.invoke(main, [
+        "falsify", "--formula", "p|q|r|s|t|u", "--max-worlds", "4",
+        "--max-context-len", "2", "--output", "json",
+    ])
+    assert result.exit_code == 1
+    witness = json.loads(result.stdout)["countermodel"]
+    model = load_model(witness["model"])
+    context = load_context(witness["context"], model)
+    f = parse_formula("p|q|r|s|t|u")
+    assert evaluate(model, context, witness["world"], f) is False
+
+
+def test_falsify_over_the_cap_exit_2(runner):
+    result = runner.invoke(main, [
+        "falsify", "--formula", "[p](q|r|s|t|u|v)", "--max-worlds", "6",
+        "--max-context-len", "5",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert "exceeds the cap" in result.stderr
+
+
+def test_falsify_zero_bounds_exit_2(runner):
+    for flag in ("--max-worlds", "--max-context-len"):
+        result = runner.invoke(main, ["falsify", "--formula", "p", flag, "0"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: bounds must be at least 1\n"
+        assert "Traceback" not in result.output
 
 
 # --- compare-v ------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conwon.formula import parse_formula
+from conwon.formula import Not, atoms, modal_depth, parse_formula, render
 from conwon.lewis import (
     PseudoSphereModelV,
     RelationalModelV,
@@ -21,6 +21,7 @@ from conwon.lewis import (
 )
 from conwon.models import Model, SchemaError
 from conwon.semantics import SearchBounds, is_valid_up_to
+from conftest import formula_battery
 
 
 def pv(text):
@@ -219,6 +220,29 @@ def test_v_satisfiable_both_ways():
     m, w = satisfying_witness_v(pv("~(p |> q) & E p"), 3)
     assert eval_v(m, w, pv("~(p |> q)"))
     assert satisfying_witness_v(pv("p & ~p"), 3) is None
+
+
+def test_v_kernel_agrees_with_pseudo_sphere_enumeration():
+    # brute force: eval_v over every enumerated pseudo-sphere point at
+    # |W| <= 3, for nested |> formulas and their negations
+    fixed = [pv(t) for t in [
+        "(p |> q) |> r",
+        "~((p |> q) |> (q |> p))",
+        "((p |> q) & (q |> p)) -> ((p |> r) <-> (q |> r))",
+        "(p | q) |> (~(p |> ~q) -> q)",
+        "E (p & q) -> (p |> (q |> (p & q)))",
+    ]]
+    battery = formula_battery(41, 100, ("p", "q"), 3, dialect="v")
+    formulas = fixed + [f for f in battery if modal_depth(f) > 0]
+    for f in formulas:
+        for g in (f, Not(f)):
+            names = tuple(sorted(atoms(g))) or ("p",)
+            brute = any(
+                eval_v(m, w, g)
+                for m in iter_pseudo_sphere_models(names, 3)
+                for w in m.model.worlds
+            )
+            assert (satisfying_witness_v(g, 3) is not None) == brute, render(g)
 
 
 def test_pseudo_sphere_json_round_trip():

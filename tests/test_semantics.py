@@ -11,7 +11,7 @@ from conwon.fixtures import (
     TIGER_CONTEXT,
     TIGER_MODEL,
 )
-from conwon.formula import And, Atom, CondBox, Not, parse_formula
+from conwon.formula import And, Atom, CondBox, Not, atoms, parse_formula, render
 from conwon.models import (
     Model,
     OrderedDefaultSet,
@@ -24,16 +24,25 @@ from conwon.models import (
     update,
 )
 from conwon.semantics import (
+    CompiledFormula,
     ContextualizedPointedModel,
     EvaluationError,
+    ModelEvaluator,
     SearchBounds,
+    chain_count,
+    chains,
+    context_chain,
     eval_cpm,
     evaluate,
     extension,
     find_countermodel,
     is_satisfiable_up_to,
     is_valid_up_to,
+    iter_contexts,
+    iter_models,
+    mask_to_worlds,
     satisfying_witness,
+    truth_masks_agree,
 )
 from conftest import random_formula, random_prop
 
@@ -214,23 +223,94 @@ def test_validities_have_no_countermodel():
         assert is_valid_up_to(parse_formula(text), bounds)
 
 
-def test_pruned_and_unpruned_search_agree():
-    bounds = SearchBounds(2, 3)
-    formulas = [
-        "[p]q -> [p & ~q]q",
-        "[p][q]r",
-        "E p -> <p> true",
-        "[p](q | r) -> ([p]q | [p]r)",
-        "~[p]q",
-    ]
-    for text in formulas:
-        f = parse_formula(text)
-        pruned = find_countermodel(f, bounds, prune=True)
-        unpruned = find_countermodel(f, bounds, prune=False)
-        assert (pruned is None) == (unpruned is None)
-        if pruned is not None:
-            assert eval_cpm(pruned, f) is False
-            assert eval_cpm(unpruned, f) is False
+# Old search batteries plus depth-4 chains; pairs share an atom set.
+CROSS_CHECK = [
+    "[p]q -> [p & ~q]q",
+    "[p][q]r",
+    "E p -> <p> true",
+    "[p](q | r) -> ([p]q | [p]r)",
+    "~[p]q",
+    "[p & q]r",
+    "[p & q]q",
+    "[p][q][r][p]p",
+    "[p][q][p][q]q",
+    "[p][q][q][p]p",
+    "[p][q][r][p]q",
+]
+CROSS_PAIRS = [
+    ("[p][q]r", "[p & q]r"),
+    ("[p][q][p][q]q", "[p & q]q"),
+    ("~[p]q", "[p]q -> [p & ~q]q"),
+]
+
+
+def _oracle_masks(f, max_worlds, max_len):
+    """``evaluate``'s truth mask of ``f`` at every valuation and duplicate-free context.
+
+    Also checks the kernel's mask at the context's chain against it.
+    """
+    names = tuple(sorted(atoms(f))) or ("p",)
+    compiled = CompiledFormula(f)
+    table = {}
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        for valuation in iter_models(names, n):
+            model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
+            kernel = ModelEvaluator(compiled, n, valuation)
+            for ctx in iter_contexts(n, max_len):
+                context = SequenceContext(tuple(mask_to_worlds(d, worlds) for d in ctx))
+                mask = sum(1 << i for i, w in enumerate(worlds) if evaluate(model, context, w, f))
+                assert kernel.truth_mask(compiled.root, context_chain(ctx, n)) == mask, (
+                    render(f), valuation, ctx)
+                table[n, tuple(valuation.values()), ctx] = mask
+    return table
+
+
+def test_chain_search_agrees_with_brute_force():
+    # brute force: evaluate over every valuation and every duplicate-free
+    # context, against the chain kernel, its verdicts and truth_masks_agree
+    for max_worlds, max_len in [(2, 3), (3, 2)]:
+        bounds = SearchBounds(max_worlds, max_len)
+        tables = {}
+        for text in CROSS_CHECK:
+            f = parse_formula(text)
+            tables[text] = table = _oracle_masks(f, max_worlds, max_len)
+            falsified = any(mask != (1 << key[0]) - 1 for key, mask in table.items())
+            witness = find_countermodel(f, bounds)
+            assert (witness is not None) == falsified, (text, max_worlds, max_len)
+        for a, b in CROSS_PAIRS:
+            witness = truth_masks_agree(parse_formula(a), parse_formula(b), max_worlds, max_len)
+            assert (witness is not None) == (tables[a] != tables[b]), (a, b, max_worlds, max_len)
+
+
+def test_chains_count_ordered_partitions():
+    # the empty chain plus strictly decreasing chains: Fubini numbers
+    # once the length bound saturates at |W| - 1
+    for n, fubini in [(1, 1), (2, 3), (3, 13), (4, 75)]:
+        assert len(chains(n, n)) == chain_count(n, n) == fubini
+    assert len(chains(4, 2)) == chain_count(4, 2) == 51
+    assert chains(3, 0) == ((),)
+    # a context and its core share a chain; W and a leading empty set vanish
+    assert context_chain((0b011, 0b110, 0b011), 3) == (0b011, 0b010)
+    assert context_chain((0b111, 0b001), 3) == (0b001,)
+    assert context_chain((0b000, 0b001), 3) == ()
+
+
+def test_kernel_witnesses_are_rechecked(monkeypatch):
+    # a kernel reporting wrong masks is caught by the independent
+    # evaluators before any verdict is returned
+    from conwon.lewis import satisfying_witness_v
+
+    monkeypatch.setattr(ModelEvaluator, "truth_mask", lambda self, node, chain: 0)
+    with pytest.raises(RuntimeError):
+        find_countermodel(parse_formula("p | ~p"), SearchBounds(2, 2))
+    monkeypatch.setattr(ModelEvaluator, "truth_mask",
+                        lambda self, node, chain: self.full if self.compiled.nodes[node][0] == "not" else 0)
+    with pytest.raises(RuntimeError):
+        truth_masks_agree(parse_formula("p"), parse_formula("~~p"), 2, 2)
+    monkeypatch.setattr(ModelEvaluator, "truth_mask", lambda self, node, chain: self.full)
+    with pytest.raises(RuntimeError):
+        satisfying_witness_v(parse_formula("p & ~p", dialect="v"), 2)
 
 
 def test_satisfiability_helpers():
