@@ -19,7 +19,15 @@ from .models import SchemaError, expected as expected_states, hierarchy, load_co
 from .models import OrderedDefaultSet
 from .proofs import ProofError, check_proof as run_checker, load_proof
 from .reduction import RewriteError, sigma
-from .semantics import EvalTrace, EvaluationError, SearchBounds, evaluate, extension, find_countermodel
+from .semantics import (
+    ContextualizedPointedModel,
+    EvalTrace,
+    EvaluationError,
+    SearchBounds,
+    eval_cpm,
+    extension,
+    find_countermodel,
+)
 
 
 def _fail(message: str) -> None:
@@ -106,9 +114,10 @@ def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
     """Evaluate a formula at (model, context, world)."""
     model = load_model(model_path)
     context = load_context(context_path, model)
+    point = ContextualizedPointedModel(model, context, world)
     f = parse_formula(formula)
     steps: EvalTrace = []
-    value = evaluate(model, context, world, f, trace=steps if trace else None)
+    value = eval_cpm(point, f, trace=steps if trace else None)
     payload = {"formula": render(f), "world": world, "value": value}
     lines = ["true" if value else "false"]
     if trace:

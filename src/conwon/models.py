@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import FrozenSet, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Set, Tuple, Union
 
 WorldSet = FrozenSet[str]
 
@@ -67,16 +67,15 @@ class Model:
 
 
 def _transitive_closure(pairs: Iterable[Tuple[str, str]]) -> FrozenSet[Tuple[str, str]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return frozenset(closure)
+    """Warshall's algorithm over successor sets."""
+    succ: Dict[str, Set[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    for k in succ:
+        for targets in succ.values():
+            if k in targets:
+                targets |= succ[k]
+    return frozenset((a, b) for a, targets in succ.items() for b in targets)
 
 
 @dataclass(frozen=True)

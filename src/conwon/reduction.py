@@ -1,25 +1,54 @@
 """Flattening of nested conditionals down to the flat fragment.
 
-The translation repeatedly picks an innermost conditional of modal depth
-2, normalizes its body into a conjunction of clauses (negation normal
-form, duals introduced for negated conditionals, disjunction distributed
-over conjunction), distributes the outer conditional over conjunctions
-and closed disjuncts, and eliminates the remaining nested conditionals
-with the two conditional-over-conditional equivalences.  No output
-simplification is performed, so results stay auditable against the
-clause shapes.
+:func:`sigma` is one bottom-up pass: atoms and falsum stay, ``~`` and
+``&`` map over their children, and ``[a]phi`` first flattens ``phi`` to a
+body B of modal depth <= 1, then removes the nesting in ``[a]B`` with the
+rewrites below.  :func:`rewrite_step` applies one of the single-step
+equivalences on its own.
+
+Proof sketches.  ``[a]f`` holds at (M, X, w) iff f holds at (M, a.X, u)
+for every expected state u of a.X; the expected set of a context is its
+last nonempty running intersection.  A closed formula (conditionals under
+``~`` and ``&``) has one truth value at all worlds of a point's context.
+
+* Propositional B: ``[a]B`` is already flat and stays.
+* 2a, ``[a](f & g) <-> [a]f & [a]g``: both sides quantify over the same
+  expected set.
+* 2b, ``[a](P | K) <-> [a]P | [a]K`` for closed K: K has one value at
+  a.X; if true both sides hold, if false both reduce to ``[a]P``.
+* Closed body, ``[a]K <-> (E a -> K[C := [a]C])`` for closed K, C ranging
+  over K's top conditionals.  a.X begins with the default |a|, so its
+  expected set is empty iff a holds nowhere, i.e. iff ``~E a``; then both
+  sides hold vacuously.  Under ``E a`` the expected set is nonempty and K
+  has one value on it, so ``[a]K`` is K at a.X; that is K's boolean
+  skeleton over the values of its conditionals C at a.X, and by the same
+  argument each equals ``[a]C`` at X.
+* 2c, ``[a][b]g <-> E a -> ((E(a&b) & [a&b]g) | (~E(a&b) & A(b -> g)))``
+  for propositional g: by the closed-body case ``[a][b]g`` under ``E a``
+  is ``[b]g`` at a.X, whose update b.a.X has running intersections |b|,
+  |a&b|, |a&b| & X1, ....  If a&b holds somewhere these continue as the
+  running intersections of (a&b).X, so the expected set is that of
+  ``[a&b]g``; otherwise they stop at |b| and ``[b]g`` says ``A(b -> g)``.
+  Inside a closed body, each ``[a]C`` is replaced by this guarded body,
+  since the closed-body rewrite already supplies the guard ``E a``.
+* 2d, the dual of 2c for ``[a]<b>g``, is used by :func:`rewrite_step`
+  only; :func:`sigma` meets duals as negated conditionals of a closed body.
+
+Any other body is a boolean mix of propositional and closed parts.  It
+is grouped into clauses P | K (P propositional, K closed, either absent),
+distributing only where a disjunction has a mixed side, and each clause
+is rewritten by 2b and the closed-body case.  No output simplification is
+performed, so results stay auditable against these shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formula import (
     And,
     Atom,
     CondBox,
-    CondCorner,
     CondDia,
     EveryWorld,
     Falsum,
@@ -33,23 +62,13 @@ from .formula import (
     modal_depth,
 )
 
+MAX_SIGMA_NODES = 1_000_000
+"""Cap on the tree size of any formula :func:`sigma` builds: the number of
+nodes ``render`` would print.  Going over it raises :class:`RewriteError`."""
+
 
 class RewriteError(Exception):
     pass
-
-
-def _or_fold(parts: List[Formula]) -> Formula:
-    result = parts[0]
-    for p in parts[1:]:
-        result = Or(result, p)
-    return result
-
-
-def _and_fold(parts: List[Formula]) -> Formula:
-    result = parts[0]
-    for p in parts[1:]:
-        result = And(result, p)
-    return result
 
 
 def _match_or(f: Formula) -> Optional[Tuple[Formula, Formula]]:
@@ -64,16 +83,18 @@ def _match_or(f: Formula) -> Optional[Tuple[Formula, Formula]]:
     return None
 
 
+def _box_over_box_body(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
+    """``[a][b]g`` under ``E a``: (E(a&b) & [a&b]g) | (~E(a&b) & A(b->g))."""
+    ab = And(alpha, beta)
+    return Or(
+        And(SomeWorld(ab), CondBox(ab, gamma)),
+        And(Not(SomeWorld(ab)), EveryWorld(Implies(beta, gamma))),
+    )
+
+
 def _box_over_box(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
     """[a][b]g  <->  Ea -> ((E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)))."""
-    ab = And(alpha, beta)
-    return Implies(
-        SomeWorld(alpha),
-        Or(
-            And(SomeWorld(ab), CondBox(ab, gamma)),
-            And(Not(SomeWorld(ab)), EveryWorld(Implies(beta, gamma))),
-        ),
-    )
+    return Implies(SomeWorld(alpha), _box_over_box_body(alpha, beta, gamma))
 
 
 def _box_over_dia(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
@@ -122,137 +143,160 @@ def rewrite_step(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Clause normalization for depth-1 conditional bodies
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionalClause:
-    """A disjunctive clause of a normalized conditional body.
-
-    Disjuncts are grouped as propositional parts, positive conditionals,
-    and dual conditionals; any group may be empty, but not all three.
-    """
-
-    pl_disjuncts: Tuple[Formula, ...]
-    box_disjuncts: Tuple[Tuple[Formula, Formula], ...]
-    dual_disjuncts: Tuple[Tuple[Formula, Formula], ...]
-
-
-def _nnf(f: Formula, positive: bool):
-    """NNF over {propositional parts, conditionals, duals} as literals."""
-    if is_propositional(f):
-        return ("lit", ("prop", f if positive else Not(f)))
-    if isinstance(f, Not):
-        return _nnf(f.child, not positive)
-    if isinstance(f, And):
-        kind = "and" if positive else "or"
-        return (kind, [_nnf(f.left, positive), _nnf(f.right, positive)])
-    if isinstance(f, CondBox):
-        gamma = f.consequent
-        if positive:
-            return ("lit", ("box", f.antecedent, gamma))
-        flipped = gamma.child if isinstance(gamma, Not) else Not(gamma)
-        return ("lit", ("dia", f.antecedent, flipped))
-    raise RewriteError(f"cannot normalize {f!r}")
-
-
-def _cnf(tree) -> List[List[tuple]]:
-    kind = tree[0]
-    if kind == "lit":
-        return [[tree[1]]]
-    parts = [_cnf(sub) for sub in tree[1]]
-    if kind == "and":
-        return [clause for part in parts for clause in part]
-    # "or": cross product of the two clause lists
-    left, right = parts
-    return [lc + rc for lc in left for rc in right]
-
-
-def normalize_body(body: Formula) -> List[ConditionalClause]:
-    """Conjunction of clauses equivalent to a depth-<=1 body."""
-    clauses = []
-    for literals in _cnf(_nnf(body, True)):
-        props, boxes, duals = [], [], []
-        for lit in literals:
-            if lit[0] == "prop":
-                props.append(lit[1])
-            elif lit[0] == "box":
-                boxes.append((lit[1], lit[2]))
-            else:
-                duals.append((lit[1], lit[2]))
-        clauses.append(ConditionalClause(tuple(props), tuple(boxes), tuple(duals)))
-    return clauses
-
-
-def _flatten_conditional(alpha: Formula, body: Formula) -> Formula:
-    """Flat equivalent of ``[alpha] body`` for a depth-1 body."""
-    conjuncts = []
-    for clause in normalize_body(body):
-        disjuncts: List[Formula] = []
-        if clause.pl_disjuncts:
-            disjuncts.append(CondBox(alpha, _or_fold(list(clause.pl_disjuncts))))
-        for beta, gamma in clause.box_disjuncts:
-            if not is_propositional(gamma):
-                raise RewriteError("nested conditional consequent must be propositional")
-            disjuncts.append(_box_over_box(alpha, beta, gamma))
-        for beta, gamma in clause.dual_disjuncts:
-            if not is_propositional(gamma):
-                raise RewriteError("nested dual consequent must be propositional")
-            disjuncts.append(_box_over_dia(alpha, beta, gamma))
-        conjuncts.append(_or_fold(disjuncts))
-    return _and_fold(conjuncts)
-
-
-# ---------------------------------------------------------------------------
 # The full translation
 # ---------------------------------------------------------------------------
 
+# Kinds of a formula of modal depth <= 1.
+_PROP, _CLOSED, _MIXED = "prop", "closed", "mixed"
 
-def _find_depth2(f: Formula, path: Tuple[int, ...] = ()) -> Optional[Tuple[Tuple[int, ...], CondBox]]:
-    """Leftmost (pre-order) conditional subformula of modal depth 2."""
-    if isinstance(f, CondBox) and modal_depth(f) == 2:
-        return path, f
-    children: Tuple[Formula, ...]
-    if isinstance(f, Not):
-        children = (f.child,)
-    elif isinstance(f, And):
-        children = (f.left, f.right)
-    elif isinstance(f, CondBox):
-        children = (f.antecedent, f.consequent)
-    else:
-        children = ()
-    for i, child in enumerate(children):
-        found = _find_depth2(child, path + (i,))
-        if found is not None:
-            return found
-    return None
+# A clause P | K: P propositional, K closed, either absent, and a lower
+# bound on the nodes the clause adds to the output.
+_Clause = Tuple[Optional[Formula], Optional[Formula], int]
 
 
-def _replace(f: Formula, path: Tuple[int, ...], replacement: Formula) -> Formula:
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    if isinstance(f, Not):
-        return Not(_replace(f.child, rest, replacement))
-    if isinstance(f, And):
-        if head == 0:
-            return And(_replace(f.left, rest, replacement), f.right)
-        return And(f.left, _replace(f.right, rest, replacement))
-    if isinstance(f, CondBox):
-        if head == 0:
-            return CondBox(_replace(f.antecedent, rest, replacement), f.consequent)
-        return CondBox(f.antecedent, _replace(f.consequent, rest, replacement))
-    raise RewriteError(f"bad path into {f!r}")
+def _over_cap() -> RewriteError:
+    return RewriteError(f"sigma output exceeds the cap of {MAX_SIGMA_NODES} nodes")
+
+
+def _or_opt(a: Optional[Formula], b: Optional[Formula]) -> Optional[Formula]:
+    if a is None:
+        return b
+    return a if b is None else Or(a, b)
+
+
+class _Flattener:
+    """One :func:`sigma` call over hash-consed nodes.
+
+    :meth:`intern` maps every node built to one canonical node per
+    structure, keyed on its kind and its canonical children's ids (hashing
+    a frozen dataclass would walk the whole subtree).  ``table`` keeps the
+    canonical nodes alive, so the other tables can key on ``id`` too;
+    ``sizes`` holds the tree size of exactly the canonical nodes.
+    """
+
+    def __init__(self) -> None:
+        self.table: Dict[tuple, Formula] = {}
+        self.sizes: Dict[int, int] = {}
+        self.kinds: Dict[int, str] = {}
+        self.flat_memo: Dict[int, Formula] = {}  # keyed on input nodes
+        self.lift_memo: Dict[Tuple[int, int], Formula] = {}
+
+    def intern(self, f: Formula) -> Formula:
+        if id(f) in self.sizes:
+            return f
+        if isinstance(f, Atom):
+            key, node, size = ("atom", f.name), f, 1
+        elif isinstance(f, Falsum):
+            key, node, size = ("false",), f, 1
+        elif isinstance(f, Not):
+            child = self.intern(f.child)
+            key, node = ("not", id(child)), Not(child)
+            size = 1 + self.sizes[id(child)]
+        elif isinstance(f, And):
+            left, right = self.intern(f.left), self.intern(f.right)
+            key, node = ("and", id(left), id(right)), And(left, right)
+            size = 1 + self.sizes[id(left)] + self.sizes[id(right)]
+        elif isinstance(f, CondBox):
+            alpha, body = self.intern(f.antecedent), self.intern(f.consequent)
+            key, node = ("box", id(alpha), id(body)), CondBox(alpha, body)
+            size = 1 + self.sizes[id(alpha)] + self.sizes[id(body)]
+        else:
+            raise RewriteError("sigma applies to conwon-dialect formulas")
+        found = self.table.get(key)
+        if found is None:
+            if size > MAX_SIGMA_NODES:
+                raise _over_cap()
+            found = self.table[key] = node
+            self.sizes[id(node)] = size
+        return found
+
+    def flat(self, f: Formula) -> Formula:
+        out = self.flat_memo.get(id(f))
+        if out is not None:
+            return out
+        if isinstance(f, Not):
+            out = self.intern(Not(self.flat(f.child)))
+        elif isinstance(f, And):
+            out = self.intern(And(self.flat(f.left), self.flat(f.right)))
+        elif isinstance(f, CondBox):
+            out = self.box(self.intern(f.antecedent), self.flat(f.consequent))
+        else:
+            out = self.intern(f)
+        self.flat_memo[id(f)] = out
+        return out
+
+    def box(self, alpha: Formula, body: Formula) -> Formula:
+        """Flat equivalent of ``[alpha] body`` for a depth-<=1 body."""
+        kind = self.kind(body)
+        if kind == _PROP:
+            return self.intern(CondBox(alpha, body))
+        if isinstance(body, And):
+            return self.intern(And(self.box(alpha, body.left), self.box(alpha, body.right)))
+        if kind == _CLOSED:
+            return self.intern(Implies(SomeWorld(alpha), self.lift(alpha, body)))
+        conjuncts = []
+        for p, k, _ in self.clauses(body, True):
+            prop = None if p is None else CondBox(alpha, p)
+            closed = None if k is None else Implies(SomeWorld(alpha), self.lift(alpha, self.intern(k)))
+            conjuncts.append(self.intern(_or_opt(prop, closed)))
+        out = conjuncts[0]
+        for c in conjuncts[1:]:
+            out = self.intern(And(out, c))
+        return out
+
+    def lift(self, alpha: Formula, k: Formula) -> Formula:
+        """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` in its 2c form under ``E alpha``."""
+        key = (id(alpha), id(k))
+        out = self.lift_memo.get(key)
+        if out is not None:
+            return out
+        if isinstance(k, Not):
+            out = Not(self.lift(alpha, k.child))
+        elif isinstance(k, And):
+            out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
+        else:  # a conditional with a propositional consequent
+            out = _box_over_box_body(alpha, k.antecedent, k.consequent)
+        out = self.lift_memo[key] = self.intern(out)
+        return out
+
+    def clauses(self, b: Formula, positive: bool) -> List[_Clause]:
+        """``b`` (or ``~b`` if not positive) as a conjunction of clauses P | K."""
+        if isinstance(b, Not):
+            return self.clauses(b.child, not positive)
+        kind = self.kind(b)
+        if kind != _MIXED:
+            literal = b if positive else Not(b)
+            n = self.sizes[id(b)] + (not positive)
+            return [(literal, None, n)] if kind == _PROP else [(None, literal, n)]
+        left, right = self.clauses(b.left, positive), self.clauses(b.right, positive)
+        if positive:
+            return left + right
+        # ~(l & r) = ~l | ~r: every pair of clauses becomes one clause
+        product = len(right) * sum(c[2] for c in left) + len(left) * sum(c[2] for c in right)
+        if product > MAX_SIGMA_NODES:
+            raise _over_cap()
+        return [(_or_opt(p, q), _or_opt(k, m), s + t) for p, k, s in left for q, m, t in right]
+
+    def kind(self, f: Formula) -> str:
+        if isinstance(f, (Atom, Falsum)):
+            return _PROP
+        if isinstance(f, CondBox):
+            return _CLOSED
+        kind = self.kinds.get(id(f))
+        if kind is None:
+            if isinstance(f, Not):
+                kind = self.kind(f.child)
+            else:
+                left, right = self.kind(f.left), self.kind(f.right)
+                kind = left if left == right else _MIXED
+            self.kinds[id(f)] = kind
+        return kind
 
 
 def sigma(f: Formula) -> Formula:
-    """Flat formula equivalent to ``f``; identity on flat input."""
-    if isinstance(f, CondCorner):
-        raise RewriteError("sigma applies to conwon-dialect formulas")
-    while True:
-        found = _find_depth2(f)
-        if found is None:
-            return f
-        path, box = found
-        f = _replace(f, path, _flatten_conditional(box.antecedent, box.consequent))
+    """Flat formula equivalent to ``f``; identity on flat input.
+
+    Raises :class:`RewriteError` on the v dialect, or when a formula
+    built on the way has more than :data:`MAX_SIGMA_NODES` nodes.
+    """
+    return _Flattener().flat(f)

@@ -141,7 +141,10 @@ def evaluate(
         )
     if isinstance(f, CondBox):
         generated = extension(model, f.antecedent)
-        updated = update(context, generated, name=f"|{render(f.antecedent)}|")
+        # only the set form and traces use the default's name
+        named = trace is not None or isinstance(context, OrderedDefaultSet)
+        label = render(f.antecedent) if named else None
+        updated = update(context, generated, name=None if label is None else f"|{label}|")
         exp = expected(model, updated)
         step = None
         if trace is not None:
@@ -152,7 +155,7 @@ def evaluate(
                 levels = None
                 seq = updated.sequence
             step = ConditionalStep(
-                antecedent=render(f.antecedent),
+                antecedent=label,
                 generated=generated,
                 levels=levels,
                 sequence=seq,

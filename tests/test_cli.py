@@ -112,6 +112,16 @@ def test_eval_bad_schema_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_eval_unknown_world_exit_2(runner, tiger_files):
+    model, context = tiger_files
+    result = runner.invoke(main, [
+        "eval", "--model", model, "--context", context, "--world", "w9", "--formula", "p",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr == "error: unknown world 'w9'\n"
+    assert "Traceback" not in result.output
+
+
 # --- expected / update ----------------------------------------------------
 
 
@@ -151,6 +161,20 @@ def test_reduce(runner):
     assert payload["modal_depth"] <= 1
     # output parses back in the conwon dialect
     parse_formula(payload["flat"])
+
+
+def test_reduce_depth5_chain(runner):
+    result = runner.invoke(main, ["reduce", "--formula", "[p][q][r][s][t]u", "--output", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["modal_depth"] <= 1
+
+
+def test_reduce_over_the_cap_exit_2(runner):
+    result = runner.invoke(main, ["reduce", "--formula", "[p][q][r][s][t][u][v][w][x]y"])
+    assert result.exit_code == 2
+    assert result.stderr.count("\n") == 1
+    assert "exceeds the cap" in result.stderr
+    assert "Traceback" not in result.output
 
 
 def test_falsify_finds_countermodel(runner):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conwon.models import (
+    _transitive_closure,
     Model,
     OrderedDefaultSet,
     SchemaError,
@@ -57,6 +58,17 @@ def test_order_must_be_strict():
                           frozenset({("D1", "D2"), ("D2", "D1")}))
     with pytest.raises(SchemaError):
         OrderedDefaultSet({"D1": fs("w1")}, frozenset({("D1", "D1")}))
+
+
+def test_transitive_closure_matches_reachability():
+    rng = random.Random(7)
+    names = ["D1", "D2", "D3", "D4", "D5"]
+    for _ in range(200):
+        pairs = {(a, b) for a in names for b in names if rng.random() < 0.2}
+        reach = set(pairs)
+        for _ in names:  # paths have at most len(names) edges
+            reach |= {(a, d) for (a, b) in reach for (c, d) in reach if b == c}
+        assert _transitive_closure(pairs) == reach
 
 
 def test_duplicate_extents_rejected():

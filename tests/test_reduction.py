@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conwon.formula import (
@@ -10,9 +12,10 @@ from conwon.formula import (
     parse_formula,
     render,
 )
-from conwon.reduction import RewriteError, normalize_body, rewrite_step, sigma
+from conwon import reduction
+from conwon.reduction import RewriteError, rewrite_step, sigma
 from conwon.semantics import SearchBounds, is_valid_up_to, truth_masks_agree
-from conftest import formula_battery
+from conftest import formula_battery, random_formula
 
 
 def pf(text):
@@ -76,28 +79,6 @@ def test_four_equivalences_are_valid():
         assert is_valid_up_to(Iff(pf(lhs), pf(rhs)), bounds), (lhs, rhs)
 
 
-# --- clause normalization -------------------------------------------------
-
-
-def test_normalize_body_groups_literals():
-    clauses = normalize_body(pf("(q | [q]r) & ~<q>s"))
-    assert len(clauses) == 2
-    by_shape = {
-        (len(c.pl_disjuncts), len(c.box_disjuncts), len(c.dual_disjuncts))
-        for c in clauses
-    }
-    # one clause mixes a propositional part with a conditional, the
-    # negated dual becomes a positive conditional clause
-    assert by_shape == {(1, 1, 0), (0, 1, 0)}
-
-
-def test_normalize_body_distributes():
-    clauses = normalize_body(pf("q | ([q]r & [r]s)"))
-    assert len(clauses) == 2
-    for c in clauses:
-        assert c.pl_disjuncts and len(c.box_disjuncts) == 1
-
-
 # --- the full translation -------------------------------------------------
 
 
@@ -135,3 +116,53 @@ def test_sigma_battery_preserves_truth():
         if witness is not None:
             failures.append((render(f), witness.to_json()))
     assert failures == []
+
+
+def test_sigma_chains_and_shapes_preserve_truth():
+    for text in [
+        "[p]q",
+        "[p][q]r",
+        "[p][q][r]s",
+        "[p][q][r][s]t",
+        "[p][q][r][s][t]u",
+        # bodies mixing propositional and closed parts under disjunctions
+        "[p]((q & [q]r) | (r & ~[r]s))",
+        "[p]~(q <-> [q]r)",
+        "[p]((q | [r]s) & ~(r & <s>q))",
+        # one closed body under two antecedents
+        "[p][r]s & ~[q][r]s",
+    ]:
+        f = pf(text)
+        g = sigma(f)
+        assert modal_depth(g) <= 1, text
+        bounds = (2, 3) if modal_depth(f) == 5 else (3, 3)
+        assert truth_masks_agree(f, g, *bounds) is None, text
+
+
+def test_sigma_depth4_battery_preserves_truth():
+    # formula_battery rarely reaches depth 4 (its formulas have size 4)
+    rng = random.Random(404)
+    battery = []
+    while len(battery) < 20:
+        f = random_formula(rng, ("p", "q", "r"), 4, size=8)
+        if modal_depth(f) == 4:
+            battery.append(f)
+    for f in battery:
+        g = sigma(f)
+        assert modal_depth(g) <= 1
+        assert truth_masks_agree(f, g, 3, 3) is None, render(f)
+
+
+def test_sigma_output_size_regression():
+    assert len(render(sigma(pf("[p][q][r][s]t")))) < 20_000
+
+
+def test_sigma_output_cap(monkeypatch):
+    monkeypatch.setattr(reduction, "MAX_SIGMA_NODES", 500)
+    assert len(render(sigma(pf("[p][q][r]s")))) < 1000
+    with pytest.raises(RewriteError, match="exceeds the cap of 500 nodes"):
+        sigma(pf("[p][q][r][s]t"))
+    # a mixed body whose clause product is over the cap
+    mixed = " | ".join(f"(a{i} & [b{i}]c{i})" for i in range(10))
+    with pytest.raises(RewriteError, match="exceeds the cap"):
+        sigma(pf(f"[p]({mixed})"))
