@@ -44,6 +44,8 @@ def guarded(fn):
             _fail(str(exc))
         except (OSError, json.JSONDecodeError) as exc:
             _fail(str(exc))
+        except RecursionError:
+            _fail("formula is nested too deeply")
 
     return wrapper
 

@@ -34,7 +34,14 @@ from .formula import (
     translate_flat,
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
-from .semantics import ContextualizedPointedModel, SearchBounds, evaluate, satisfying_witness, search_points
+from .semantics import (
+    ContextualizedPointedModel,
+    EvaluationError,
+    SearchBounds,
+    evaluate,
+    satisfying_witness,
+    search_points,
+)
 
 OrderPairs = FrozenSet[Tuple[str, str]]
 
@@ -402,7 +409,7 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
     other side and re-verified there.
     """
     if not is_flat(f):
-        raise ValueError("equivalence harness expects a flat formula")
+        raise EvaluationError("equivalence harness expects a flat formula")
     f_conwon = translate_flat(f, "conwon") if dialect_of(f) == "v" else f
     f_v = translate_flat(f_conwon, "v")
 

@@ -94,6 +94,8 @@ V_AXIOMS: Tuple[Schema, ...] = (
     _schema("v.rhd.6", "(~(phi |> ~psi) & (phi |> chi)) -> ((phi & psi) |> chi)", "v"),
 )
 
+SCHEMAS: Dict[str, Schema] = {s.identifier: s for s in CONWON_AXIOMS + V_AXIOMS}
+
 RULES: Tuple[str, ...] = ("taut", "mp", "rcea", "rcec")
 
 SYSTEMS: Dict[str, Dict] = {
@@ -330,7 +332,7 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
             if rule not in RULES:
                 fail(i, f"unknown rule {rule!r}")
                 continue
-            if any(not isinstance(r, int) or not 1 <= r <= i for r in refs):
+            if any(type(r) is not int or not 1 <= r <= i for r in refs):
                 fail(i, "rule premises must reference earlier steps (1-based)")
                 continue
             premises = [steps[r - 1].formula for r in refs]
@@ -382,14 +384,23 @@ def load_proof(source) -> Tuple[str, List[ProofStep]]:
             formula = parse_formula(raw["formula"], dialect=dialect)
         except ParseError as exc:
             raise ProofError(f"step {i + 1}: {exc}") from exc
+        if not isinstance(raw["by"], dict):
+            raise ProofError(f"step {i + 1}: 'by' must be an object")
         by = dict(raw["by"])
+        if not all(isinstance(by.get(key, ""), str) for key in ("axiom", "rule")):
+            raise ProofError(f"step {i + 1}: 'axiom' and 'rule' must be names")
+        refs = by.get("from", [])
+        if not isinstance(refs, list) or any(type(r) is not int for r in refs):
+            raise ProofError(f"step {i + 1}: 'from' must be a list of step numbers")
         if "subst" in by:
-            if not isinstance(by["subst"], dict):
-                raise ProofError(f"step {i + 1}: 'subst' must be an object")
-            by["subst"] = {
-                var: parse_formula(text, dialect=dialect)
-                for var, text in by["subst"].items()
-            }
+            subst = by["subst"]
+            if not isinstance(subst, dict) or not all(isinstance(t, str) for t in subst.values()):
+                raise ProofError(f"step {i + 1}: 'subst' must map metavariables to formulas")
+            schema = SCHEMAS.get(by.get("axiom"))
+            unknown = sorted(set(subst) - atoms(schema.template)) if schema else []
+            if unknown:
+                raise ProofError(f"step {i + 1}: {', '.join(unknown)} not a metavariable of {schema.identifier}")
+            by["subst"] = {var: parse_formula(text, dialect=dialect) for var, text in subst.items()}
         steps.append(ProofStep(formula, by))
     return system, steps
 

@@ -30,6 +30,16 @@ equivalent to the point on one world per type present, with the chain of
 the entries' type sets: no more worlds, no longer chain.  So searching
 sets of distinct types, in increasing order, with every chain finds a
 falsifying point whenever one exists, and 2^k worlds saturate.
+
+Straight-line evaluation.  At a chain, a conditional's truth depends only
+on its antecedent's mask, the chain, and its consequent's mask at the
+chain the consequent sees: the same one for ``|>`` and ``[a]`` with an
+unchanged chain, the updated one for any other box.  A propositional
+mask sees no chain.  So running a node's sub-DAG children first at one
+chain is exact, given the box consequents at their updated chains; those
+are smaller nodes, so the recursion ends even where chains cycle.  The
+expected set of a is the last nonempty a & S_j, read off the chain.  In
+a flat formula every consequent is propositional: one pass per chain.
 """
 
 from __future__ import annotations
@@ -47,9 +57,7 @@ from .formula import (
     Falsum,
     Formula,
     Not,
-    atoms,
     is_propositional,
-    modal_depth,
     render,
 )
 from .models import (
@@ -228,95 +236,153 @@ def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
 
 
 class CompiledFormula:
-    """A formula lowered to an indexed node array.
+    """A formula lowered to an indexed node array, children first.
 
-    Structurally identical subterms share a node, so memoized results
-    are shared too.  Node ops: ("atom", name), ("false",), ("not", i),
-    ("and", i, j), ("box", i, j), ("corner", i, j).
+    Structurally identical subterms share a node, so results are shared
+    too.  Node ops: ("atom", name), ("false",), ("not", i), ("and", i, j),
+    ("box", i, j), ("corner", i, j).  The same pass records ``atoms`` and
+    the modal depth of each node (``depths``, 0 iff propositional) and of
+    the root (``modal_depth``).
     """
 
     def __init__(self, f: Formula):
         self.nodes: List[tuple] = []
+        self.depths: List[int] = []
+        self.atoms: set = set()
+        self.prop_plan: List[tuple] = []  # (index, op, i, j) of each propositional node
         self._index: Dict[tuple, int] = {}
+        self._seen: Dict[int, int] = {}  # id of a subformula of f -> node
+        self._plans: Dict[int, List[tuple]] = {}
         self.root = self._add(f)
+        self.modal_depth = self.depths[self.root]
+        del self._seen  # ids name objects only while f is alive
 
     def _add(self, f: Formula) -> int:
-        if isinstance(f, Atom):
-            key = ("atom", f.name)
-        elif isinstance(f, Falsum):
-            key = ("false",)
-        elif isinstance(f, Not):
-            key = ("not", self._add(f.child))
-        elif isinstance(f, And):
+        idx = self._seen.get(id(f))  # a shared subformula is lowered once
+        if idx is not None:
+            return idx
+        cls, depths = type(f), self.depths
+        if cls is And:
             key = ("and", self._add(f.left), self._add(f.right))
-        elif isinstance(f, CondBox):
+            depth = max(depths[key[1]], depths[key[2]])
+        elif cls is Not:
+            key = ("not", self._add(f.child))
+            depth = depths[key[1]]
+        elif cls is Atom:
+            key, depth = ("atom", f.name), 0
+            self.atoms.add(f.name)
+        elif cls is CondBox:
             key = ("box", self._add(f.antecedent), self._add(f.consequent))
-        elif isinstance(f, CondCorner):
+            depth = 1 + max(depths[key[1]], depths[key[2]])
+        elif cls is CondCorner:
             key = ("corner", self._add(f.left), self._add(f.right))
+            depth = 1 + max(depths[key[1]], depths[key[2]])
+        elif cls is Falsum:
+            key, depth = ("false",), 0
         else:
             raise TypeError(f"not a formula: {f!r}")
         idx = self._index.get(key)
         if idx is None:
-            idx = len(self.nodes)
+            idx = self._index[key] = len(self.nodes)
             self.nodes.append(key)
-            self._index[key] = idx
+            depths.append(depth)
+            if not depth:
+                self.prop_plan.append((idx, *(key + (0, 0))[:3]))
+        self._seen[id(f)] = idx
         return idx
+
+    def plan(self, node: int) -> List[tuple]:
+        """What one pass at ``node``'s chain evaluates: (index, op, i, j), children first.
+
+        The non-propositional nodes of ``node``'s sub-DAG, without box
+        consequents, which see updated chains.  A box whose consequent is
+        propositional becomes "corner": its consequent's mask holds under
+        every chain, so [a]phi and a |> phi are the same test.
+        """
+        steps = self._plans.get(node)
+        if steps is None:
+            found, stack = set(), [node]
+            while stack:
+                i = stack.pop()
+                if i not in found and self.depths[i]:
+                    found.add(i)
+                    op = self.nodes[i]
+                    stack += op[1:2] if op[0] == "box" else op[1:]
+            steps = self._plans[node] = []
+            for i in sorted(found):
+                op, a, b = (self.nodes[i] + (0,))[:3]
+                steps.append((i, "corner" if op == "box" and not self.depths[b] else op, a, b))
+        return steps
 
 
 class ModelEvaluator:
     """Evaluates a compiled formula on one bitmask model.
 
     ``truth_mask(node, chain)`` returns the set of worlds (as a bitmask)
-    satisfying the node under contexts with that chain, the memo key.
-    ``[a]phi`` checks phi at the expected set of a under the updated chain,
+    satisfying the node under contexts with that chain, memoised per
+    (node, chain); a miss runs ``node``'s plan at the chain.  ``[a]phi``
+    checks phi at the expected set of a under the updated chain,
     ``phi |> psi`` checks psi at the expected set of phi under the same
     chain; both are world-independent: the full mask or 0.
     """
 
     def __init__(self, compiled: CompiledFormula, n_worlds: int, valuation: Dict[str, int]):
         self.compiled = compiled
-        self.full = (1 << n_worlds) - 1
-        self.prop: List[Optional[int]] = []
+        self.full = full = (1 << n_worlds) - 1
+        self.prop = prop = [None] * len(compiled.nodes)  # a mask per propositional node
         self.memo: Dict[Tuple[int, Chain], int] = {}
-        # Masks for propositional nodes are context-free; precompute them.
-        for op in compiled.nodes:
-            if op[0] == "atom":
-                self.prop.append(valuation.get(op[1], 0))
-            elif op[0] == "false":
-                self.prop.append(0)
-            elif op[0] == "not":
-                child = self.prop[op[1]]
-                self.prop.append(None if child is None else self.full & ~child)
-            elif op[0] == "and":
-                a, b = self.prop[op[1]], self.prop[op[2]]
-                self.prop.append(None if a is None or b is None else a & b)
+        for i, op, a, b in compiled.prop_plan:
+            if op == "atom":
+                prop[i] = valuation.get(a, 0)
+            elif op == "not":
+                prop[i] = full ^ prop[a]
+            elif op == "and":
+                prop[i] = prop[a] & prop[b]
             else:
-                self.prop.append(None)
+                prop[i] = 0
 
     def truth_mask(self, node: int, chain: Chain) -> int:
         mask = self.prop[node]
         if mask is not None:
             return mask
         key = (node, chain)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        op = self.compiled.nodes[node]
-        if op[0] == "not":
-            result = self.full & ~self.truth_mask(op[1], chain)
-        elif op[0] == "and":
-            result = self.truth_mask(op[1], chain) & self.truth_mask(op[2], chain)
-        else:  # box or corner
-            alpha = self.truth_mask(op[1], chain)
-            result = self.full
-            if alpha:
-                updated = update_chain(alpha, chain, self.full)
-                exp = updated[-1] if updated else self.full
-                inner = updated if op[0] == "box" else chain
-                if exp & ~self.truth_mask(op[2], inner):
-                    result = 0
-        self.memo[key] = result
-        return result
+        mask = self.memo.get(key)
+        if mask is None:
+            values = self.prop[:]
+            self._run(node, chain, values)
+            mask = self.memo[key] = values[node]
+        return mask
+
+    def _run(self, node: int, chain: Chain, values: List[Optional[int]]) -> None:
+        """Fill ``values`` for ``node``'s plan at ``chain``.
+
+        A box consequent at another chain goes through the memo; at the
+        same chain (a = W) it is run into ``values``.
+        """
+        full = self.full
+        for i, op, a, b in self.compiled.plan(node):
+            if op == "not":
+                values[i] = full ^ values[a]
+            elif op == "and":
+                values[i] = values[a] & values[b]
+            elif not values[a]:
+                values[i] = full
+            elif op == "corner":
+                alpha = exp = values[a]
+                for s in chain:
+                    if not alpha & s:
+                        break
+                    exp = alpha & s
+                values[i] = 0 if exp & ~values[b] else full
+            else:
+                updated = update_chain(values[a], chain, full)
+                if updated != chain:
+                    inner = self.truth_mask(b, updated)
+                else:
+                    if values[b] is None:
+                        self._run(b, chain, values)
+                    inner = values[b]
+                values[i] = 0 if (updated[-1] if updated else full) & ~inner else full
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +469,9 @@ def search_points(
     Raises EvaluationError when the (valuation, chain) pairs exceed
     ``bounds.max_enumeration``.
     """
-    names = tuple(sorted(frozenset().union(*map(atoms, formulas)))) or ("p",)
-    max_len = bounds.max_context_len if max(map(modal_depth, formulas)) else 0
+    compiled = [CompiledFormula(f) for f in formulas]
+    names = tuple(sorted(set().union(*(c.atoms for c in compiled)))) or ("p",)
+    max_len = bounds.max_context_len if max(c.modal_depth for c in compiled) else 0
     max_worlds = min(bounds.max_worlds, 1 << len(names))
     total = 0
     for n in range(1, max_worlds + 1):
@@ -415,7 +482,6 @@ def search_points(
                 f"of {bounds.max_enumeration}"
             )
 
-    compiled = [CompiledFormula(f) for f in formulas]
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         candidates = chains(n, min(max_len, n - 1))

@@ -251,7 +251,18 @@ def test_compare_v_corner_dialect(runner):
 
 def test_compare_v_rejects_nested(runner):
     result = runner.invoke(main, ["compare-v", "--formula", "[p][q]r"])
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    assert result.stderr == "error: equivalence harness expects a flat formula\n"
+    assert "Traceback" not in result.output
+
+
+def test_deep_nesting_exit_2(runner):
+    formula = " & ".join(["p"] * 1500)
+    for command in (["parse", formula], ["reduce", "--formula", formula]):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, command[0]
+        assert result.stderr == "error: formula is nested too deeply\n"
+        assert "Traceback" not in result.output
 
 
 # --- check-proof ----------------------------------------------------------
@@ -284,6 +295,11 @@ def test_check_proof_malformed_exit_2(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(main, ["check-proof", str(path)])
     assert result.exit_code == 2
+    path.write_text(json.dumps({"system": "conwon", "steps": [{"formula": "[p]p", "by": "axiom"}]}))
+    result = runner.invoke(main, ["check-proof", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: step 1: 'by' must be an object\n"
+    assert "Traceback" not in result.output
 
 
 # --- examples -------------------------------------------------------------

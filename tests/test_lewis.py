@@ -20,7 +20,7 @@ from conwon.lewis import (
     universal_to_sphere,
 )
 from conwon.models import Model, SchemaError
-from conwon.semantics import SearchBounds, is_valid_up_to
+from conwon.semantics import EvaluationError, SearchBounds, is_valid_up_to
 from conftest import formula_battery
 
 
@@ -266,7 +266,7 @@ def test_flat_equivalence_harness():
 
 
 def test_flat_equivalence_rejects_nested():
-    with pytest.raises(ValueError):
+    with pytest.raises(EvaluationError, match="expects a flat formula"):
         flat_equivalence_check(parse_formula("[p][q]r"), SearchBounds(2, 2))
 
 

@@ -155,6 +155,17 @@ def test_load_proof_errors():
     with pytest.raises(ProofError, match="step 1"):
         load_proof({"system": "conwon",
                     "steps": [{"formula": "p &", "by": {"rule": "taut", "from": []}}]})
+    for by, message in [
+        ("axiom", "'by' must be an object"),
+        ({"axiom": ["conwon.3a"]}, "'axiom' and 'rule' must be names"),
+        ({"axiom": "conwon.3a", "subst": {"alpha": "p", "zeta": "q"}}, "zeta not a metavariable of conwon.3a"),
+        ({"rule": "taut", "from": [True]}, "'from' must be a list of step numbers"),
+    ]:
+        with pytest.raises(ProofError, match=message):
+            load_proof({"system": "conwon", "steps": [{"formula": "[p]p", "by": by}]})
+    # True is an int to isinstance; the checker does not take it for step 1
+    steps = [ProofStep(pf("[p]p"), {"axiom": "conwon.3a"}), ProofStep(pf("[p]p"), {"rule": "taut", "from": [True]})]
+    assert check_proof(steps, "conwon").errors == ["step 2: rule premises must reference earlier steps (1-based)"]
 
 
 def test_load_proof_from_file(tmp_path):

@@ -236,6 +236,9 @@ CROSS_CHECK = [
     "[p][q][p][q]q",
     "[p][q][q][p]p",
     "[p][q][r][p]q",
+    "[p | ~p][q]r",  # the update keeps the chain
+    "[p]q & [q][p]q",  # one subterm under two chains
+    "[p](q | [q]~q)",  # a consequent with a propositional and a closed part
 ]
 CROSS_PAIRS = [
     ("[p][q]r", "[p & q]r"),
