@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success (true / valid up to bounds / proof accepted),
 1 for a negative verdict (false / countermodel found / proof rejected),
-2 for usage or input errors.
+2 for usage or input errors, 3 for an internal fault.
 """
 
 from __future__ import annotations
@@ -40,12 +40,16 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParseError, SchemaError, ProofError, RewriteError, EvaluationError) as exc:
-            _fail(str(exc))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (ParseError, SchemaError, ProofError, RewriteError, EvaluationError,
+                OSError, json.JSONDecodeError) as exc:
             _fail(str(exc))
         except RecursionError:
             _fail("formula is nested too deeply")
+        except click.ClickException:
+            raise
+        except Exception as exc:  # a fault of conwon itself, never a verdict
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
 
     return wrapper
 

@@ -35,6 +35,7 @@ from .formula import (
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
 from .semantics import (
+    CompiledFormula,
     ContextualizedPointedModel,
     EvaluationError,
     SearchBounds,
@@ -349,7 +350,14 @@ def satisfying_witness_v(f: Formula, max_worlds: int) -> Optional[Tuple[PseudoSp
     The chain kernel over every chain, i.e. every ordered partition read as
     spheres; the witness is re-checked with :func:`eval_v`.
     """
-    witness = search_points([f], SearchBounds(max_worlds, max_worlds), lambda masks, full: masks[0])
+    compiled = CompiledFormula(f)
+    bounds = SearchBounds(max_worlds, max_worlds)
+    [witness] = search_points(compiled, [(compiled.root,)], bounds, lambda masks, full: masks[0])
+    return v_witness(f, witness)
+
+
+def v_witness(f: Formula, witness: Optional[ContextualizedPointedModel]):
+    """A kernel point satisfying ``f`` as a pseudo-sphere point once :func:`eval_v` confirms it."""
     if witness is None:
         return None
     m, w = _transport_conwon_to_v(witness)

@@ -427,12 +427,13 @@ class SweepReport:
 
 
 def soundness_sweep(system: str, bounds) -> SweepReport:
-    """Search for countermodels to axiom instances; failures falsify soundness."""
-    from .semantics import find_countermodel
-    from .lewis import satisfying_witness_v
+    """Search for countermodels to axiom instances, one search per schema; failures falsify soundness."""
+    from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
+    from .lewis import v_witness
 
     spec = SYSTEMS[system]
     dialect = spec["dialect"]
+    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds) if dialect == "v" else bounds
     report = SweepReport(system)
     pools = {
         PROP: [parse_formula(t, dialect=dialect) for t in _PROP_POOL],
@@ -442,18 +443,18 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
     }
     for schema in spec["axioms"]:
         variables = tuple(sorted(atoms(schema.template)))
-        choices = [pools[schema.conditions.get(v)] for v in variables]
-        for combo in itertools.product(*choices):
-            subst = dict(zip(variables, combo))
-            instance = instantiate(schema, subst)
-            report.instances += 1
+        combos = list(itertools.product(*(pools[schema.conditions.get(v)] for v in variables)))
+        compiled = CompiledFormula()
+        queries = [(compiled.add(instantiate(schema, dict(zip(variables, combo)))),) for combo in combos]
+        report.instances += len(combos)
+        for combo, witness in zip(combos, search_points(compiled, queries, bounds, falsified)):
+            if witness is None:
+                continue
+            instance = instantiate(schema, dict(zip(variables, combo)))
             if dialect == "conwon":
-                witness = find_countermodel(instance, bounds)
-                if witness is not None:
-                    report.failures.append(f"{schema.identifier}: falsified by {witness}")
+                recheck_countermodel(instance, witness)
+                report.failures.append(f"{schema.identifier}: falsified by {witness}")
             else:
-                found = satisfying_witness_v(Not(instance), bounds.max_worlds)
-                if found is not None:
-                    m, w = found
-                    report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
+                m, w = v_witness(Not(instance), witness)
+                report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
     return report

@@ -35,16 +35,25 @@ Straight-line evaluation.  At a chain, a conditional's truth depends only
 on its antecedent's mask, the chain, and its consequent's mask at the
 chain the consequent sees: the same one for ``|>`` and ``[a]`` with an
 unchanged chain, the updated one for any other box.  A propositional
-mask sees no chain.  So running a node's sub-DAG children first at one
-chain is exact, given the box consequents at their updated chains; those
-are smaller nodes, so the recursion ends even where chains cycle.  The
-expected set of a is the last nonempty a & S_j, read off the chain.  In
-a flat formula every consequent is propositional: one pass per chain.
+mask sees no chain.  By induction a node's mask depends on the valuation
+and the chain alone, whatever root led there: one table per chain, shared
+by all roots, each entry filled once, is exact.  A node's sub-DAG runs
+children first into its chain's table, box consequents into their updated
+chains' tables; those are smaller nodes, so the recursion ends even where
+chains cycle.  The expected set of a is the last nonempty a & S_j.  In a
+flat formula every consequent is propositional: one pass per chain.
+
+Many queries, one search.  A query's points (|W| up to 2^k, valuations of
+its k atoms, chains up to its context bound) depend only on its atoms and
+on whether it has conditionals, so queries alike in both walk the same
+points in the same order and, searched together, each gets its own witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -236,26 +245,33 @@ def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
 
 
 class CompiledFormula:
-    """A formula lowered to an indexed node array, children first.
+    """Formulas lowered into one shared node array, children first.
 
-    Structurally identical subterms share a node, so results are shared
-    too.  Node ops: ("atom", name), ("false",), ("not", i), ("and", i, j),
-    ("box", i, j), ("corner", i, j).  The same pass records ``atoms`` and
-    the modal depth of each node (``depths``, 0 iff propositional) and of
-    the root (``modal_depth``).
+    Structurally identical subterms share a node, across all formulas
+    added, so results are shared too.  Node ops: ("atom", name), ("false",),
+    ("not", i), ("and", i, j), ("box", i, j), ("corner", i, j).  The same
+    pass records each node's modal depth (``depths``, 0 iff propositional)
+    and atoms (``atom_bits``).  ``CompiledFormula(f)`` adds ``f`` as ``root``.
     """
 
-    def __init__(self, f: Formula):
+    def __init__(self, f: Optional[Formula] = None):
         self.nodes: List[tuple] = []
         self.depths: List[int] = []
-        self.atoms: set = set()
+        self.atom_bits: List[int] = []
+        self.atom_bit: Dict[str, int] = {}  # atom name -> its bit in atom_bits
+        self.bases: List[int] = []  # of each node: itself, or ~b for ~ over non-propositional b
         self.prop_plan: List[tuple] = []  # (index, op, i, j) of each propositional node
         self._index: Dict[tuple, int] = {}
-        self._seen: Dict[int, int] = {}  # id of a subformula of f -> node
         self._plans: Dict[int, List[tuple]] = {}
-        self.root = self._add(f)
-        self.modal_depth = self.depths[self.root]
+        if f is not None:
+            self.root = self.add(f)
+
+    def add(self, f: Formula) -> int:
+        """Lower ``f`` and return its node; no reference to ``f`` is kept."""
+        self._seen: Dict[int, int] = {}  # id of a subformula of f -> node
+        root = self._add(f)
         del self._seen  # ids name objects only while f is alive
+        return root
 
     def _add(self, f: Formula) -> int:
         idx = self._seen.get(id(f))  # a shared subformula is lowered once
@@ -270,7 +286,6 @@ class CompiledFormula:
             depth = depths[key[1]]
         elif cls is Atom:
             key, depth = ("atom", f.name), 0
-            self.atoms.add(f.name)
         elif cls is CondBox:
             key = ("box", self._add(f.antecedent), self._add(f.consequent))
             depth = 1 + max(depths[key[1]], depths[key[2]])
@@ -286,18 +301,23 @@ class CompiledFormula:
             idx = self._index[key] = len(self.nodes)
             self.nodes.append(key)
             depths.append(depth)
+            bits, bases = self.atom_bits, self.bases
+            bits.append(self.atom_bit.setdefault(f.name, 1 << len(self.atom_bit)) if cls is Atom
+                        else bits[key[1]] | bits[key[-1]] if len(key) > 1 else 0)
+            bases.append(~bases[key[1]] if depth and cls is Not else idx)
             if not depth:
                 self.prop_plan.append((idx, *(key + (0, 0))[:3]))
         self._seen[id(f)] = idx
         return idx
 
     def plan(self, node: int) -> List[tuple]:
-        """What one pass at ``node``'s chain evaluates: (index, op, i, j), children first.
+        """What one pass at ``node``'s chain evaluates: (index, op, a, na, b, nb), children first.
 
-        The non-propositional nodes of ``node``'s sub-DAG, without box
-        consequents, which see updated chains.  A box whose consequent is
-        propositional becomes "corner": its consequent's mask holds under
-        every chain, so [a]phi and a |> phi are the same test.
+        The non-propositional nodes of ``node``'s sub-DAG but ``~``, without
+        box consequents, which see updated chains.  Operand a has the value
+        ``values[a] ^ na``, na -1 where ``bases`` folds a ``~`` into it.  A
+        box whose consequent is propositional becomes "corner": its mask
+        holds under every chain, so [a]phi and a |> phi are the same test.
         """
         steps = self._plans.get(node)
         if steps is None:
@@ -310,18 +330,21 @@ class CompiledFormula:
                     stack += op[1:2] if op[0] == "box" else op[1:]
             steps = self._plans[node] = []
             for i in sorted(found):
-                op, a, b = (self.nodes[i] + (0,))[:3]
-                steps.append((i, "corner" if op == "box" and not self.depths[b] else op, a, b))
+                op = self.nodes[i]
+                if op[0] != "not":
+                    kind = "corner" if op[0] == "box" and not self.depths[op[2]] else op[0]
+                    a, b = self.bases[op[1]], self.bases[op[2]]
+                    steps.append((i, kind, max(a, ~a), -(a < 0), max(b, ~b), -(b < 0)))
         return steps
 
 
 class ModelEvaluator:
-    """Evaluates a compiled formula on one bitmask model.
+    """Evaluates compiled formulas on one bitmask model.
 
     ``truth_mask(node, chain)`` returns the set of worlds (as a bitmask)
-    satisfying the node under contexts with that chain, memoised per
-    (node, chain); a miss runs ``node``'s plan at the chain.  ``[a]phi``
-    checks phi at the expected set of a under the updated chain,
+    satisfying the node under contexts with that chain, from one table per
+    chain shared by every root; a miss runs ``node``'s plan at the chain.
+    ``[a]phi`` checks phi at the expected set of a under the updated chain,
     ``phi |> psi`` checks psi at the expected set of phi under the same
     chain; both are world-independent: the full mask or 0.
     """
@@ -330,7 +353,7 @@ class ModelEvaluator:
         self.compiled = compiled
         self.full = full = (1 << n_worlds) - 1
         self.prop = prop = [None] * len(compiled.nodes)  # a mask per propositional node
-        self.memo: Dict[Tuple[int, Chain], int] = {}
+        self.tables: Dict[Chain, List[Optional[int]]] = defaultdict(prop.copy)  # a table per chain
         for i, op, a, b in compiled.prop_plan:
             if op == "atom":
                 prop[i] = valuation.get(a, 0)
@@ -343,46 +366,39 @@ class ModelEvaluator:
 
     def truth_mask(self, node: int, chain: Chain) -> int:
         mask = self.prop[node]
-        if mask is not None:
-            return mask
-        key = (node, chain)
-        mask = self.memo.get(key)
         if mask is None:
-            values = self.prop[:]
-            self._run(node, chain, values)
-            mask = self.memo[key] = values[node]
+            values, base = self.tables[chain], self.compiled.bases[node]
+            b = base if base >= 0 else ~base
+            if values[b] is None:
+                self._run(b, chain, values)
+            mask = values[b] if base >= 0 else self.full ^ values[b]
         return mask
 
     def _run(self, node: int, chain: Chain, values: List[Optional[int]]) -> None:
-        """Fill ``values`` for ``node``'s plan at ``chain``.
-
-        A box consequent at another chain goes through the memo; at the
-        same chain (a = W) it is run into ``values``.
-        """
-        full = self.full
-        for i, op, a, b in self.compiled.plan(node):
-            if op == "not":
-                values[i] = full ^ values[a]
-            elif op == "and":
-                values[i] = values[a] & values[b]
-            elif not values[a]:
+        """Fill ``node``'s plan into ``values``, the table of ``chain``; box consequents into theirs."""
+        full, tables = self.full, self.tables
+        for i, op, a, na, b, nb in self.compiled.plan(node):
+            if values[i] is not None:
+                continue
+            if op == "and":
+                values[i] = (values[a] ^ na) & (values[b] ^ nb) & full
+                continue
+            alpha = (values[a] ^ na) & full
+            if not alpha:
                 values[i] = full
             elif op == "corner":
-                alpha = exp = values[a]
+                exp = alpha
                 for s in chain:
                     if not alpha & s:
                         break
                     exp = alpha & s
-                values[i] = 0 if exp & ~values[b] else full
+                values[i] = 0 if exp & ~(values[b] ^ nb) else full
             else:
-                updated = update_chain(values[a], chain, full)
-                if updated != chain:
-                    inner = self.truth_mask(b, updated)
-                else:
-                    if values[b] is None:
-                        self._run(b, chain, values)
-                    inner = values[b]
-                values[i] = 0 if (updated[-1] if updated else full) & ~inner else full
+                updated = update_chain(alpha, chain, full)
+                table = tables[updated]
+                if table[b] is None:
+                    self._run(b, updated, table)
+                values[i] = 0 if (updated[-1] if updated else full) & ~(table[b] ^ nb) else full
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +420,7 @@ def iter_contexts(n_worlds: int, max_len: int):
         yield from itertools.permutations(subsets, length)
 
 
-def iter_canonical_valuations(atom_names: Tuple[str, ...], n_worlds: int):
-    """One valuation per set of n distinct world types, worlds in type order."""
-    for types in itertools.combinations(range(1 << len(atom_names)), n_worlds):
-        yield {
-            a: sum(1 << w for w, t in enumerate(types) if t >> i & 1)
-            for i, a in enumerate(atom_names)
-        }
-
-
+@functools.lru_cache(maxsize=64)
 def chains(n_worlds: int, max_len: int) -> Tuple[Chain, ...]:
     """The empty chain, then every chain of length <= max_len, shortest first.
 
@@ -456,46 +464,80 @@ class SearchBounds:
 
 
 def search_points(
-    formulas: Sequence[Formula],
+    compiled: CompiledFormula,
+    queries: Sequence[Tuple[int, ...]],
     bounds: SearchBounds,
     select: Callable[[List[int], int], int],
-) -> Optional[ContextualizedPointedModel]:
-    """The one enumeration loop: the first point ``select`` picks, or ``None``.
+) -> List[Optional[ContextualizedPointedModel]]:
+    """The one enumeration loop: for each query, the first point ``select`` picks, or ``None``.
 
-    Goes over |W| (at most the 2^k types), canonical valuations and chains of
-    length <= the context bound (only the empty chain without conditionals).
-    ``select(masks, full)`` maps the formulas' truth masks to the worlds to
-    report (the lowest is); the chain is the witness context, (W) if empty.
-    Raises EvaluationError when the (valuation, chain) pairs exceed
-    ``bounds.max_enumeration``.
+    A query is a tuple of roots in ``compiled``.  Goes over |W| (at most the
+    2^k types), canonical valuations and chains of length <= the context
+    bound (only the empty chain without conditionals), for each group of
+    queries with the same atoms and context bound in turn; a query leaves
+    its group at its first pick.  ``select(masks, full)`` maps the
+    query's truth masks to the worlds to report (the lowest is); the chain
+    is the witness context, (W) if empty.  Raises EvaluationError when a
+    group's (valuation, chain) pairs exceed ``bounds.max_enumeration``.
     """
-    compiled = [CompiledFormula(f) for f in formulas]
-    names = tuple(sorted(set().union(*(c.atoms for c in compiled)))) or ("p",)
-    max_len = bounds.max_context_len if max(c.modal_depth for c in compiled) else 0
-    max_worlds = min(bounds.max_worlds, 1 << len(names))
-    total = 0
-    for n in range(1, max_worlds + 1):
-        total += comb(1 << len(names), n) * chain_count(n, max_len)
-        if total > bounds.max_enumeration:
-            raise EvaluationError(
-                f"enumeration of at least {total} (valuation, chain) pairs exceeds the cap "
-                f"of {bounds.max_enumeration}"
-            )
+    groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
+    for k, roots in enumerate(queries):
+        names = tuple(sorted(a for a, bit in compiled.atom_bit.items()
+                             if any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
+        max_len = bounds.max_context_len if max(compiled.depths[r] for r in roots) else 0
+        groups.setdefault((names, max_len), []).append(k)
+    for names, max_len in groups:
+        total = 0
+        for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
+            total += comb(1 << len(names), n) * chain_count(n, max_len)
+            if total > bounds.max_enumeration:
+                raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
+                                      f"exceeds the cap of {bounds.max_enumeration}")
 
-    for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        candidates = chains(n, min(max_len, n - 1))
-        for valuation in iter_canonical_valuations(names, n):
-            evaluators = [ModelEvaluator(c, n, valuation) for c in compiled]
+    found: List[Optional[ContextualizedPointedModel]] = [None] * len(queries)
+    for (names, max_len), active in groups.items():
+        for n, valuation, ev, candidates in _valuations(compiled, names, max_len, bounds.max_worlds):
+            truth_mask, full = ev.truth_mask, ev.full
             for chain in candidates:
-                picked = select([ev.truth_mask(ev.compiled.root, chain) for ev in evaluators], full)
-                if picked:
-                    worlds = tuple(f"w{i + 1}" for i in range(n))
-                    model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
-                    context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
-                    world = worlds[(picked & -picked).bit_length() - 1]
-                    return ContextualizedPointedModel(model, SequenceContext(context), world)
-    return None
+                for k in active:
+                    roots = queries[k]  # one root, the common case, costs no comprehension
+                    masks = ([truth_mask(roots[0], chain)] if len(roots) == 1
+                             else [truth_mask(r, chain) for r in roots])
+                    picked = select(masks, full)
+                    if picked:  # k leaves its group; this pass goes on over the old list
+                        worlds = tuple(f"w{i + 1}" for i in range(n))
+                        model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
+                        context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
+                        world = worlds[(picked & -picked).bit_length() - 1]
+                        found[k] = ContextualizedPointedModel(model, SequenceContext(context), world)
+                        active = [j for j in active if j != k]
+                if not active:
+                    break
+            if not active:
+                break
+    return found
+
+
+def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
+    """(|W|, valuation, its evaluator, the chains to try) in search order, a valuation per type set."""
+    for n in range(1, min(max_worlds, 1 << len(names)) + 1):
+        candidates = chains(n, min(max_len, n - 1))
+        for types in itertools.combinations(range(1 << len(names)), n):
+            valuation = {a: sum(1 << w for w, t in enumerate(types) if t >> i & 1)
+                         for i, a in enumerate(names)}
+            yield n, valuation, ModelEvaluator(compiled, n, valuation), candidates
+
+
+def falsified(masks: List[int], full: int) -> int:
+    """``select`` for countermodels: the worlds where the query's formula is false."""
+    return full & ~masks[0]
+
+
+def recheck_countermodel(f: Formula, witness: Optional[ContextualizedPointedModel]):
+    """``witness`` once :func:`evaluate` confirms it falsifies ``f``; else ``RuntimeError``."""
+    if witness is not None and eval_cpm(witness, f):
+        raise RuntimeError(f"kernel countermodel to {render(f)} does not hold up: {witness.to_json()}")
+    return witness
 
 
 def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
@@ -505,12 +547,11 @@ def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[Contextualiz
     ``bounds.max_worlds`` worlds and all sequence contexts of length at
     most ``bounds.max_context_len``.  ``None`` means "valid up to
     bound", not validity.  The witness is re-checked with
-    :func:`evaluate`; a mismatch is an internal fault (``RuntimeError``).
+    :func:`evaluate`.
     """
-    witness = search_points([f], bounds, lambda masks, full: full & ~masks[0])
-    if witness is not None and eval_cpm(witness, f):
-        raise RuntimeError(f"kernel countermodel to {render(f)} does not hold up: {witness.to_json()}")
-    return witness
+    compiled = CompiledFormula(f)
+    [witness] = search_points(compiled, [(compiled.root,)], bounds, falsified)
+    return recheck_countermodel(f, witness)
 
 
 def is_valid_up_to(f: Formula, bounds: SearchBounds) -> bool:
@@ -538,8 +579,10 @@ def truth_masks_agree(
     points as :func:`find_countermodel`; the witness is re-checked with
     :func:`evaluate`.
     """
+    compiled = CompiledFormula()
+    query = (compiled.add(f), compiled.add(g))
     bounds = SearchBounds(max_worlds, max_context_len)
-    witness = search_points([f, g], bounds, lambda masks, full: masks[0] ^ masks[1])
+    [witness] = search_points(compiled, [query], bounds, lambda masks, full: masks[0] ^ masks[1])
     if witness is not None and eval_cpm(witness, f) == eval_cpm(witness, g):
         raise RuntimeError(
             f"kernel disagreement of {render(f)} and {render(g)} does not hold up: {witness.to_json()}"

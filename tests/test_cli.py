@@ -229,6 +229,21 @@ def test_falsify_zero_bounds_exit_2(runner):
         assert "Traceback" not in result.output
 
 
+def test_internal_fault_exit_3(runner, monkeypatch):
+    # a fault of conwon itself, such as a kernel witness that fails its
+    # re-check, is neither a verdict nor an input error
+    import conwon.cli
+
+    def broken(f, bounds):
+        raise RuntimeError("kernel countermodel to p does not hold up")
+
+    monkeypatch.setattr(conwon.cli, "find_countermodel", broken)
+    result = runner.invoke(main, ["falsify", "--formula", "p", "--max-worlds", "2"])
+    assert result.exit_code == 3
+    assert result.stderr == "internal error: RuntimeError: kernel countermodel to p does not hold up\n"
+    assert "Traceback" not in result.output
+
+
 # --- compare-v ------------------------------------------------------------
 
 

@@ -6,11 +6,13 @@ from conwon.fixtures import INVALID_PROOFS, VALID_PROOF
 from conwon.formula import Atom, parse_formula
 from conwon.proofs import (
     CONWON_AXIOMS,
+    PROP,
     RULES,
     SYSTEMS,
     V_AXIOMS,
     ProofError,
     ProofStep,
+    Schema,
     check_proof,
     instantiate,
     is_tautology,
@@ -192,3 +194,45 @@ def test_soundness_sweep_smoke():
     report_v = soundness_sweep("v1", SearchBounds(2, 2))
     assert report_v.instances > 0
     assert report_v.failures == []
+
+
+def test_soundness_sweep_instance_counts():
+    # every instance of every schema is searched, one search per schema
+    conwon = soundness_sweep("conwon", SearchBounds(2, 5))
+    v1 = soundness_sweep("v1", SearchBounds(2, 5))
+    assert (conwon.instances, v1.instances) == (1025, 630)
+    assert conwon.ok and v1.ok
+
+
+def test_soundness_sweep_reports_unsound_schemas(monkeypatch):
+    # an unsound schema among the sound ones is reported under its own id,
+    # each countermodel confirmed by the independent evaluator first
+    import conwon.lewis
+    import conwon.proofs
+    import conwon.semantics
+
+    bad = {
+        "conwon": Schema("bad.box", parse_formula("[alpha]gamma -> gamma"), {"alpha": PROP, "gamma": PROP}),
+        "v1": Schema("bad.rhd", parse_formula("(phi |> chi) -> chi", dialect="v"), {}),
+    }
+    systems = {name: dict(spec, axioms=spec["axioms"] + (bad[name],)) for name, spec in SYSTEMS.items()}
+    monkeypatch.setattr(conwon.proofs, "SYSTEMS", systems)
+    rechecked = []
+    real_recheck, real_v_witness = conwon.semantics.recheck_countermodel, conwon.lewis.v_witness
+    monkeypatch.setattr(conwon.semantics, "recheck_countermodel",
+                        lambda f, w: rechecked.append(f) or real_recheck(f, w))
+    monkeypatch.setattr(conwon.lewis, "v_witness",
+                        lambda f, w: rechecked.append(f.child) or real_v_witness(f, w))
+    for system in ("conwon", "v1"):
+        rechecked.clear()
+        report = soundness_sweep(system, SearchBounds(2, 5))
+        assert report.failures, system
+        assert all(line.startswith(f"{bad[system].identifier}: ") for line in report.failures)
+        assert len(rechecked) == len(report.failures)
+        assert all(match_schema(bad[system], f) is not None for f in rechecked)
+
+    # a kernel that calls every instance false is caught by that re-check
+    monkeypatch.setattr(conwon.semantics.ModelEvaluator, "truth_mask", lambda self, node, chain: 0)
+    for system in ("conwon", "v1"):
+        with pytest.raises(RuntimeError):
+            soundness_sweep(system, SearchBounds(2, 5))

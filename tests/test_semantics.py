@@ -35,6 +35,7 @@ from conwon.semantics import (
     eval_cpm,
     evaluate,
     extension,
+    falsified,
     find_countermodel,
     is_satisfiable_up_to,
     is_valid_up_to,
@@ -42,6 +43,7 @@ from conwon.semantics import (
     iter_models,
     mask_to_worlds,
     satisfying_witness,
+    search_points,
     truth_masks_agree,
 )
 from conftest import random_formula, random_prop
@@ -314,6 +316,52 @@ def test_kernel_witnesses_are_rechecked(monkeypatch):
     monkeypatch.setattr(ModelEvaluator, "truth_mask", lambda self, node, chain: self.full)
     with pytest.raises(RuntimeError):
         satisfying_witness_v(parse_formula("p & ~p", dialect="v"), 2)
+
+
+BATCH_CONWON = ["p | ~p", "p & ~q", "p", "[p]p", "[p]q", "[p][q]r", "[p](q -> q)",
+                "[p]q -> [p & ~q]q", "~[p]q", "[p][q][p]q", "[p][q]r <-> [p & q]r"]
+BATCH_V = ["p | ~p", "p & ~p", "q", "p |> p", "p |> q", "~(p |> q) & E p",
+           "(p |> q) & ~(p |> (q | r))", "p |> (q |> p)", "~(p |> ~(q |> r))"]
+
+
+def _batched(compiled, formulas, bounds, select):
+    # roots are added one at a time, as the soundness sweep adds its instances
+    return search_points(compiled, [(compiled.add(f),) for f in formulas], bounds, select)
+
+
+def test_batched_search_matches_single_searches():
+    # one multi-query search over a shared DAG gives each query the witness
+    # it gets alone: the same points in the same order, dropped at its pick
+    from conwon.lewis import satisfying_witness_v, v_witness
+
+    rng = random.Random(20261018)
+    for max_worlds, max_len in [(2, 3), (3, 2)]:
+        bounds = SearchBounds(max_worlds, max_len)
+        formulas = [parse_formula(t) for t in BATCH_CONWON] + [
+            random_formula(rng, ["p", "q", "r"][:rng.randint(1, 3)], rng.randint(0, 3), size=5)
+            for _ in range(30)]
+        found = _batched(CompiledFormula(), formulas, bounds, falsified)
+        singles = [find_countermodel(f, bounds) for f in formulas]
+        assert {w is None for w in singles} == {True, False}
+        for f, batched, single in zip(formulas, found, singles):
+            assert (batched is None) == (single is None), render(f)
+            assert batched is None or batched.to_json() == single.to_json(), render(f)
+            if single is not None and len(single.model.worlds) > 1:
+                # the first pick is on the fewest worlds
+                assert find_countermodel(f, SearchBounds(len(single.model.worlds) - 1, max_len)) is None
+
+        formulas = [parse_formula(t, dialect="v") for t in BATCH_V] + [
+            random_formula(rng, ["p", "q", "r"][:rng.randint(1, 3)], rng.randint(0, 3), size=5, dialect="v")
+            for _ in range(30)]
+        found = _batched(CompiledFormula(), formulas, SearchBounds(max_worlds, max_worlds),
+                         lambda masks, full: masks[0])
+        singles = [satisfying_witness_v(f, max_worlds) for f in formulas]
+        assert {w is None for w in singles} == {True, False}
+        for f, batched, single in zip(formulas, found, singles):
+            batched = v_witness(f, batched)
+            assert (batched is None) == (single is None), render(f)
+            if batched is not None:
+                assert (batched[0].to_json(), batched[1]) == (single[0].to_json(), single[1]), render(f)
 
 
 def test_satisfiability_helpers():
