@@ -3,9 +3,10 @@
 Exit codes: 0 for success (true / valid up to bounds / proof accepted),
 1 for a negative verdict (false / countermodel found / proof rejected),
 2 for usage or input errors, 3 for an internal fault.
-"""
 
-from __future__ import annotations
+Each subcommand imports what it uses when it runs; input errors subclass
+:class:`conwon.errors.InputError` and exit 2.
+"""
 
 import functools
 import json
@@ -13,21 +14,8 @@ import sys
 
 import click
 
+from .errors import InputError
 from .fixtures import EXAMPLES, run_example
-from .formula import ParseError, classify, modal_depth, parse_formula, render
-from .models import SchemaError, expected as expected_states, hierarchy, load_context, load_model, update as update_context
-from .models import OrderedDefaultSet
-from .proofs import ProofError, check_proof as run_checker, load_proof
-from .reduction import RewriteError, sigma
-from .semantics import (
-    ContextualizedPointedModel,
-    EvalTrace,
-    EvaluationError,
-    SearchBounds,
-    eval_cpm,
-    extension,
-    find_countermodel,
-)
 
 
 def _fail(message: str) -> None:
@@ -40,8 +28,7 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParseError, SchemaError, ProofError, RewriteError, EvaluationError,
-                OSError, json.JSONDecodeError) as exc:
+        except (InputError, OSError, json.JSONDecodeError) as exc:
             _fail(str(exc))
         except RecursionError:
             _fail("formula is nested too deeply")
@@ -79,6 +66,8 @@ def main() -> None:
 @guarded
 def parse_cmd(formula: str, dialect: str, output: str) -> None:
     """Parse FORMULA and print its canonical desugared form."""
+    from .formula import classify, modal_depth, parse_formula, render
+
     f = parse_formula(formula, dialect=dialect)
     info = classify(f)
     payload = {
@@ -96,7 +85,7 @@ def parse_cmd(formula: str, dialect: str, output: str) -> None:
     emit(output, payload, lines)
 
 
-def _trace_lines(trace: EvalTrace):
+def _trace_lines(trace):
     lines = []
     for step in trace:
         lines.append(f"update with {step.antecedent}: generated {sorted(step.generated)}")
@@ -118,25 +107,20 @@ def _trace_lines(trace: EvalTrace):
 @guarded
 def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
     """Evaluate a formula at (model, context, world)."""
+    from .formula import parse_formula, render
+    from .models import load_context, load_model
+    from .semantics import ContextualizedPointedModel, eval_cpm
+
     model = load_model(model_path)
     context = load_context(context_path, model)
     point = ContextualizedPointedModel(model, context, world)
     f = parse_formula(formula)
-    steps: EvalTrace = []
+    steps = []
     value = eval_cpm(point, f, trace=steps if trace else None)
     payload = {"formula": render(f), "world": world, "value": value}
     lines = ["true" if value else "false"]
     if trace:
-        payload["trace"] = [
-            {
-                "antecedent": s.antecedent,
-                "generated": sorted(s.generated),
-                "expected": sorted(s.expected),
-                **({"hierarchy": [sorted(l) for l in s.levels]} if s.levels is not None else {}),
-                **({"sequence": [sorted(d) for d in s.sequence]} if s.sequence is not None else {}),
-            }
-            for s in steps
-        ]
+        payload["trace"] = [step.to_json() for step in steps]
         lines += _trace_lines(steps)
     emit(output, payload, lines)
     sys.exit(0 if value else 1)
@@ -149,9 +133,11 @@ def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
 @guarded
 def expected_cmd(model_path, context_path, output) -> None:
     """Print the expected states of a context."""
+    from .models import OrderedDefaultSet, expected, hierarchy, load_context, load_model
+
     model = load_model(model_path)
     context = load_context(context_path, model)
-    e = expected_states(model, context)
+    e = expected(model, context)
     payload = {"expected": sorted(e)}
     lines = []
     if isinstance(context, OrderedDefaultSet):
@@ -170,12 +156,16 @@ def expected_cmd(model_path, context_path, output) -> None:
 @guarded
 def update_cmd(model_path, context_path, alpha, output) -> None:
     """Update a context with the default generated by a formula."""
+    from .formula import parse_formula, render
+    from .models import expected, load_context, load_model, update
+    from .semantics import extension
+
     model = load_model(model_path)
     context = load_context(context_path, model)
     f = parse_formula(alpha)
     generated = extension(model, f)
-    updated = update_context(context, generated, name=f"|{render(f)}|")
-    e = expected_states(model, updated)
+    updated = update(context, generated, name=f"|{render(f)}|")
+    e = expected(model, updated)
     payload = {
         "generated": sorted(generated),
         "context": updated.to_json(),
@@ -195,6 +185,9 @@ def update_cmd(model_path, context_path, alpha, output) -> None:
 @guarded
 def reduce_cmd(formula, output) -> None:
     """Translate a formula into the flat fragment."""
+    from .formula import modal_depth, parse_formula, render
+    from .reduction import sigma
+
     f = parse_formula(formula)
     flat = sigma(f)
     payload = {"input": render(f), "flat": render(flat), "modal_depth": modal_depth(flat)}
@@ -209,6 +202,9 @@ def reduce_cmd(formula, output) -> None:
 @guarded
 def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
     """Search for a countermodel within the given bounds."""
+    from .formula import parse_formula
+    from .semantics import SearchBounds, find_countermodel
+
     f = parse_formula(formula)
     witness = find_countermodel(f, SearchBounds(max_worlds, max_context_len))
     if witness is None:
@@ -230,7 +226,9 @@ def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
 @guarded
 def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None:
     """Compare bounded satisfiability against the comparative-possibility logic."""
+    from .formula import parse_formula
     from .lewis import flat_equivalence_check
+    from .semantics import SearchBounds
 
     f = parse_formula(formula, dialect=dialect)
     report = flat_equivalence_check(f, SearchBounds(max_worlds, max_context_len))
@@ -259,10 +257,12 @@ def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None
 @guarded
 def check_proof_cmd(proof_file, system_override, output) -> None:
     """Check a Hilbert-style proof file."""
+    from .proofs import check_proof, load_proof
+
     system, steps = load_proof(proof_file)
     if system_override is not None:
         system = system_override
-    verdict = run_checker(steps, system)
+    verdict = check_proof(steps, system)
     payload = {"system": system, "accepted": verdict.ok, "errors": verdict.errors}
     lines = [("accepted" if verdict.ok else "rejected")] + verdict.errors
     emit(output, payload, lines)

@@ -5,16 +5,13 @@ entry that recomputes the advertised verdicts from scratch, returning an
 exit code (0 = everything came out as advertised and the headline
 formula is true or valid; 1 = the headline formula is false or a
 countermodel exists) together with human-readable lines and a JSON-able
-payload.
+payload.  The library modules are imported inside the ``_run_*``
+functions, so listing the examples loads none of them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
-
-from .formula import parse_formula, render
-from .models import load_context, load_model
-from .semantics import SearchBounds, evaluate, find_countermodel
 
 TIGER_MODEL = {
     "worlds": ["w1", "w2", "w3", "w4", "w5", "w6"],
@@ -77,51 +74,46 @@ MONOTONICITY = "([p]q) -> ([p & ~q]q)"
 
 
 def _eval_with_trace(model_data, context_data, world, formula_text):
+    """The rendered formula, its truth at ``world`` and its trace."""
+    from .formula import parse_formula, render
+    from .models import load_context, load_model
+    from .semantics import evaluate
+
     model = load_model(model_data)
     context = load_context(context_data, model)
     f = parse_formula(formula_text)
     trace: List = []
     value = evaluate(model, context, world, f, trace=trace)
-    return model, context, f, value, trace
-
-
-def _trace_json(trace) -> list:
-    out = []
-    for step in trace:
-        entry = {
-            "antecedent": step.antecedent,
-            "generated": sorted(step.generated),
-            "expected": sorted(step.expected),
-        }
-        if step.levels is not None:
-            entry["hierarchy"] = [sorted(level) for level in step.levels]
-        if step.sequence is not None:
-            entry["sequence"] = [sorted(d) for d in step.sequence]
-        out.append(entry)
-    return out
+    return render(f), value, trace
 
 
 def _run_tiger() -> Tuple[int, List[str], dict]:
-    _m, _c, f, value, trace = _eval_with_trace(TIGER_MODEL, TIGER_CONTEXT, "w3", "[a_g]~a_d")
-    lines = [f"{render(f)} at w3: {'true' if value else 'false'}"]
+    text, value, trace = _eval_with_trace(TIGER_MODEL, TIGER_CONTEXT, "w3", "[a_g]~a_d")
+    lines = [f"{text} at w3: {'true' if value else 'false'}"]
     for step in trace:
         lines.append(f"  update with {step.antecedent}: generated {sorted(step.generated)}")
         lines.append(f"  hierarchy: {[sorted(level) for level in step.levels]}")
         lines.append(f"  expected: {sorted(step.expected)}")
-    payload = {"formula": render(f), "world": "w3", "value": value, "trace": _trace_json(trace)}
+    payload = {"formula": text, "world": "w3", "value": value,
+               "trace": [step.to_json() for step in trace]}
     return (0 if value else 1), lines, payload
 
 
 def _run_reagan() -> Tuple[int, List[str], dict]:
-    _m, _c, f, value, trace = _eval_with_trace(REAGAN_MODEL, REAGAN_CONTEXT, "w1", "[~r][r | a]r")
-    lines = [f"{render(f)} at w1: {'true' if value else 'false'}"]
+    text, value, trace = _eval_with_trace(REAGAN_MODEL, REAGAN_CONTEXT, "w1", "[~r][r | a]r")
+    lines = [f"{text} at w1: {'true' if value else 'false'}"]
     for step in trace:
         lines.append(f"  update with {step.antecedent}: expected {sorted(step.expected)}")
-    payload = {"formula": render(f), "world": "w1", "value": value, "trace": _trace_json(trace)}
+    payload = {"formula": text, "world": "w1", "value": value,
+               "trace": [step.to_json() for step in trace]}
     return (0 if value else 1), lines, payload
 
 
 def _run_nonmono() -> Tuple[int, List[str], dict]:
+    from .formula import parse_formula, render
+    from .models import load_context, load_model
+    from .semantics import SearchBounds, evaluate, find_countermodel
+
     model = load_model(NONMONO_MODEL)
     context = load_context(NONMONO_CONTEXT, model)
     weak = parse_formula("[p]q")
@@ -145,8 +137,10 @@ def _run_nonmono() -> Tuple[int, List[str], dict]:
 
 
 def _run_fact16() -> Tuple[int, List[str], dict]:
+    from .formula import parse_formula, render
     from .lewis import RelationalModelV, eval_v
     from .models import Model
+    from .semantics import SearchBounds, find_countermodel
 
     conwon_side = parse_formula(FACT16_CONWON)
     witness = find_countermodel(conwon_side, SearchBounds(3, 5))
@@ -172,7 +166,7 @@ def _run_fact16() -> Tuple[int, List[str], dict]:
 
 
 def _run_figure1() -> Tuple[int, List[str], dict]:
-    from .models import expected, hierarchy
+    from .models import expected, hierarchy, load_context, load_model
 
     model = load_model(FIGURE1_MODEL)
     context = load_context(FIGURE1_CONTEXT, model)
@@ -196,8 +190,6 @@ EXAMPLES = {
 
 
 def run_example(name: str) -> Tuple[int, List[str], dict]:
-    if name not in EXAMPLES:
-        raise KeyError(name)
     return EXAMPLES[name]()
 
 

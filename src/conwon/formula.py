@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
+from .errors import InputError
+
 CONWON = "conwon"
 V = "v"
 DIALECTS = (CONWON, V)
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """Syntax error in formula text; carries the offending position."""
 
     def __init__(self, message: str, position: int):

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Set, Tuple, Union
 
+from .errors import InputError
+
 WorldSet = FrozenSet[str]
 
 
-class SchemaError(Exception):
+class SchemaError(InputError):
     """Invalid model/context data with a human-readable diagnostic."""
 
 
@@ -223,7 +225,9 @@ def update(context: Context, extent: Iterable[str], name: str = None) -> Context
     """
     extent = _world_set(extent)
     if isinstance(context, SequenceContext):
-        return SequenceContext((extent,) + context.sequence)
+        prepended = object.__new__(SequenceContext)  # entries are frozensets: skip __post_init__
+        object.__setattr__(prepended, "sequence", (extent,) + context.sequence)
+        return prepended
     if name is None:
         name = "|" + ",".join(sorted(extent)) + "|"
     defaults = {n: ws for n, ws in context.defaults.items() if ws != extent}

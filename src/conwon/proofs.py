@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .errors import InputError
 from .formula import (
     And,
     Atom,
@@ -36,7 +37,7 @@ from .formula import (
 )
 
 
-class ProofError(Exception):
+class ProofError(InputError):
     """Malformed proof file."""
 
 

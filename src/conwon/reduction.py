@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .errors import InputError
 from .formula import (
     And,
     Atom,
@@ -67,7 +68,7 @@ MAX_SIGMA_NODES = 1_000_000
 nodes ``render`` would print.  Going over it raises :class:`RewriteError`."""
 
 
-class RewriteError(Exception):
+class RewriteError(InputError):
     pass
 
 

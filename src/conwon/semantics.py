@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .errors import InputError
 from .formula import (
     And,
     Atom,
@@ -66,7 +67,6 @@ from .formula import (
     Falsum,
     Formula,
     Not,
-    is_propositional,
     render,
 )
 from .models import (
@@ -80,7 +80,7 @@ from .models import (
 )
 
 
-class EvaluationError(Exception):
+class EvaluationError(InputError):
     pass
 
 
@@ -119,14 +119,22 @@ class ConditionalStep:
     expected: FrozenSet[str]
     verdicts: Dict[str, bool] = field(default_factory=dict)
 
+    def to_json(self) -> dict:
+        """The step as traces print it in JSON; ``verdicts`` is left out."""
+        out = {"antecedent": self.antecedent, "generated": sorted(self.generated),
+               "expected": sorted(self.expected)}
+        if self.levels is not None:
+            out["hierarchy"] = [sorted(level) for level in self.levels]
+        if self.sequence is not None:
+            out["sequence"] = [sorted(d) for d in self.sequence]
+        return out
+
 
 EvalTrace = List[ConditionalStep]
 
 
 def extension(model: Model, alpha: Formula) -> FrozenSet[str]:
-    """The default generated by a propositional formula."""
-    if not is_propositional(alpha):
-        raise EvaluationError("extension requires a propositional formula")
+    """The default generated by a propositional formula; conditionals are rejected."""
     if isinstance(alpha, Atom):
         return model.extent(alpha.name)
     if isinstance(alpha, Falsum):
@@ -135,6 +143,8 @@ def extension(model: Model, alpha: Formula) -> FrozenSet[str]:
         return model.world_set - extension(model, alpha.child)
     if isinstance(alpha, And):
         return extension(model, alpha.left) & extension(model, alpha.right)
+    if isinstance(alpha, (CondBox, CondCorner)):
+        raise EvaluationError("extension requires a propositional formula")
     raise TypeError(f"not a formula: {alpha!r}")
 
 

@@ -1,9 +1,11 @@
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from conwon.cli import main
+from conwon.errors import InputError
 from conwon.fixtures import (
     NONMONO_CONTEXT,
     NONMONO_MODEL,
@@ -11,9 +13,11 @@ from conwon.fixtures import (
     TIGER_MODEL,
     VALID_PROOF,
 )
-from conwon.formula import parse_formula
-from conwon.models import load_context, load_model
-from conwon.semantics import evaluate
+from conwon.formula import ParseError, parse_formula
+from conwon.models import SchemaError, load_context, load_model
+from conwon.proofs import ProofError
+from conwon.reduction import RewriteError
+from conwon.semantics import EvaluationError, evaluate
 
 
 @pytest.fixture
@@ -37,6 +41,29 @@ def nonmono_files(tmp_path):
     model.write_text(json.dumps(NONMONO_MODEL))
     context.write_text(json.dumps(NONMONO_CONTEXT))
     return str(model), str(context)
+
+
+# --- error boundary -------------------------------------------------------
+
+
+def command_paths(group, prefix=()):
+    for name, command in sorted(group.commands.items()):
+        yield [*prefix, name]
+        if isinstance(command, click.Group):
+            yield from command_paths(command, (*prefix, name))
+
+
+@pytest.mark.parametrize("path", list(command_paths(main)), ids=" ".join)
+def test_help_exit_0(runner, path):
+    result = runner.invoke(main, [*path, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("Usage:")
+
+
+@pytest.mark.parametrize("error", [ParseError, SchemaError, ProofError, RewriteError, EvaluationError])
+def test_input_errors_share_one_base(error):
+    # guarded maps exactly these to exit 2 by catching their base class
+    assert issubclass(error, InputError)
 
 
 # --- parse ----------------------------------------------------------------
@@ -81,6 +108,19 @@ def test_eval_true_exit_0(runner, tiger_files):
     assert result.exit_code == 0
     assert "true" in result.output
     assert "hierarchy" in result.output
+
+
+def test_eval_and_example_share_the_trace_schema(runner, tiger_files):
+    model, context = tiger_files
+    step = {"antecedent": "a_g", "generated": ["w1", "w2", "w4", "w6"], "expected": ["w1"],
+            "hierarchy": [["|a_g|"], ["D2"], ["D1", "D3"]]}
+    result = runner.invoke(main, [
+        "eval", "--model", model, "--context", context,
+        "--world", "w3", "--formula", "[a_g]~a_d", "--trace", "--output", "json",
+    ])
+    assert json.loads(result.output)["trace"] == [step]
+    result = runner.invoke(main, ["examples", "run", "tiger", "--output", "json"])
+    assert json.loads(result.output)["trace"] == [step]
 
 
 def test_eval_false_exit_1(runner, nonmono_files):
@@ -232,12 +272,12 @@ def test_falsify_zero_bounds_exit_2(runner):
 def test_internal_fault_exit_3(runner, monkeypatch):
     # a fault of conwon itself, such as a kernel witness that fails its
     # re-check, is neither a verdict nor an input error
-    import conwon.cli
+    import conwon.semantics
 
     def broken(f, bounds):
         raise RuntimeError("kernel countermodel to p does not hold up")
 
-    monkeypatch.setattr(conwon.cli, "find_countermodel", broken)
+    monkeypatch.setattr(conwon.semantics, "find_countermodel", broken)
     result = runner.invoke(main, ["falsify", "--formula", "p", "--max-worlds", "2"])
     assert result.exit_code == 3
     assert result.stderr == "internal error: RuntimeError: kernel countermodel to p does not hold up\n"
