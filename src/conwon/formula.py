@@ -10,12 +10,22 @@ Two dialects are supported:
 All sugar (``true``, ``|``, ``->``, ``<->``, ``<a>``, ``box``, ``dia``,
 ``E``, ``A``) expands at parse time, so every downstream consumer only
 sees the five core node kinds of each dialect.
+
+Formulas are hash-consed.  Equal means identical: each constructor
+returns the one live node of its kind with identical children, so ``==``
+and ``hash`` are identity and cost O(1) at any depth.  Nodes are
+immutable (assignment raises; copies and pickle round trips return the
+node itself).  The intern table holds its nodes weakly: a node's entry
+goes when the node dies.  Each node records, from its children in O(1)
+at construction, its modal ``depth``, whether it is ``closed`` (see
+:func:`is_closed`) and its ``size``, the number of nodes :func:`render`
+prints; the classifiers read these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+import weakref
+from typing import Dict, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -42,8 +52,60 @@ class DialectError(ParseError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+_INTERNED: Dict[tuple, _Ref] = {}  # (class, *fields) -> the live node
+_set = object.__setattr__
+
+
+def _forget(ref: _Ref) -> None:
+    if _INTERNED.get(ref.key) is ref:  # a newer node may hold the key by now
+        del _INTERNED[ref.key]
+
+
+def _make(key: tuple, depth: int, closed: bool, size: int) -> "Formula":
+    """A new node for ``key``, entered in the intern table."""
+    node = object.__new__(key[0])
+    fields = key[0].__slots__  # at most two; unrolled, as every new node comes here
+    if fields:
+        _set(node, fields[0], key[1])
+        if len(fields) > 1:
+            _set(node, fields[1], key[2])
+    _set(node, "depth", depth)
+    _set(node, "closed", closed)
+    _set(node, "size", size)
+    ref = _INTERNED[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 class Formula:
+    """An interned, immutable formula node."""
+
+    __slots__ = ("depth", "closed", "size", "__weakref__")
+
+    def __setattr__(self, name, value=None):  # also __delattr__
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy.copy and pickle rebuild the interned node
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __deepcopy__(self, memo) -> "Formula":
+        return self
+
+    def children(self) -> tuple:
+        """The subformulas this node is built from, in order."""
+        return self.__reduce__()[1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
+
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -51,45 +113,71 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def children(self) -> tuple:
+        return ()
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _INTERNED.get(key)
+        return ref and ref() or _make(key, 0, False, 1)
 
 
-@dataclass(frozen=True)
 class Falsum(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        ref = _INTERNED.get((cls,))
+        return ref and ref() or _make((cls,), 0, False, 1)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __new__(cls, child: Formula):
+        key = (cls, child)
+        ref = _INTERNED.get(key)
+        return ref and ref() or _make(key, child.depth, child.closed, 1 + child.size)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        ref = _INTERNED.get(key)
+        return ref and ref() or _make(key, max(left.depth, right.depth), left.closed and right.closed,
+                                      1 + left.size + right.size)
 
 
-@dataclass(frozen=True)
 class CondBox(Formula):
     """Conditional box of the ``conwon`` dialect; antecedent propositional."""
 
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = ("antecedent", "consequent")
 
-    def __post_init__(self):
-        if not is_propositional(self.antecedent):
-            raise ValueError("conditional antecedent must be propositional")
+    def __new__(cls, antecedent: Formula, consequent: Formula):
+        key = (cls, antecedent, consequent)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            if antecedent.depth:
+                raise ValueError("conditional antecedent must be propositional")
+            node = _make(key, 1 + consequent.depth, True, 1 + antecedent.size + consequent.size)
+        return node
 
 
-@dataclass(frozen=True)
 class CondCorner(Formula):
     """Variably-strict conditional of the ``v`` dialect."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        ref = _INTERNED.get(key)
+        return ref and ref() or _make(key, 1 + max(left.depth, right.depth), True,
+                                      1 + left.size + right.size)
 
 
 FALSUM = Falsum()
@@ -141,8 +229,7 @@ def PossiblyV(phi: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     is_propositional: bool
     is_closed: bool
     is_flat: bool
@@ -150,83 +237,38 @@ class Classification:
 
 
 def is_propositional(f: Formula) -> bool:
-    if isinstance(f, (Atom, Falsum)):
-        return True
-    if isinstance(f, Not):
-        return is_propositional(f.child)
-    if isinstance(f, And):
-        return is_propositional(f.left) and is_propositional(f.right)
-    return False
+    return f.depth == 0
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Falsum)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, CondBox):
-        return 1 + max(modal_depth(f.antecedent), modal_depth(f.consequent))
-    if isinstance(f, CondCorner):
-        return 1 + max(modal_depth(f.left), modal_depth(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    return f.depth
 
 
 def is_closed(f: Formula) -> bool:
     """Whether ``f`` is generated by ``x ::= [a]f | ~x | (x & x)``."""
-    if isinstance(f, (CondBox, CondCorner)):
-        return True
-    if isinstance(f, Not):
-        return is_closed(f.child)
-    if isinstance(f, And):
-        return is_closed(f.left) and is_closed(f.right)
-    return False
+    return f.closed
 
 
 def is_flat(f: Formula) -> bool:
-    return modal_depth(f) <= 1
+    return f.depth <= 1
 
 
 def classify(f: Formula) -> Classification:
-    depth = modal_depth(f)
-    return Classification(
-        is_propositional=depth == 0,
-        is_closed=is_closed(f),
-        is_flat=depth <= 1,
-        modal_depth=depth,
-    )
+    return Classification(f.depth == 0, f.closed, f.depth <= 1, f.depth)
 
 
 def atoms(f: Formula) -> frozenset:
     if isinstance(f, Atom):
         return frozenset([f.name])
-    if isinstance(f, Falsum):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms(f.child)
-    if isinstance(f, And):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, CondBox):
-        return atoms(f.antecedent) | atoms(f.consequent)
-    if isinstance(f, CondCorner):
-        return atoms(f.left) | atoms(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset().union(*map(atoms, f.children()))
 
 
 def dialect_of(f: Formula) -> str:
     """The dialect a core formula belongs to; boolean formulas fit both."""
 
     def kinds(g: Formula) -> frozenset:
-        if isinstance(g, CondBox):
-            return frozenset(["box"]) | kinds(g.antecedent) | kinds(g.consequent)
-        if isinstance(g, CondCorner):
-            return frozenset(["corner"]) | kinds(g.left) | kinds(g.right)
-        if isinstance(g, Not):
-            return kinds(g.child)
-        if isinstance(g, And):
-            return kinds(g.left) | kinds(g.right)
-        return frozenset()
+        own = {"box"} if isinstance(g, CondBox) else {"corner"} if isinstance(g, CondCorner) else set()
+        return frozenset(own).union(*map(kinds, g.children()))
 
     seen = kinds(f)
     if "box" in seen and "corner" in seen:
@@ -473,18 +515,8 @@ _PREC_ATOM = 4
 _PREC_PREFIX = 3
 _PREC_AND = 2
 _PREC_CORNER = 1
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Atom, Falsum)):
-        return _PREC_ATOM
-    if isinstance(f, (Not, CondBox)):
-        return _PREC_PREFIX
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, CondCorner):
-        return _PREC_CORNER
-    raise TypeError(f"not a formula: {f!r}")
+_PREC = {Atom: _PREC_ATOM, Falsum: _PREC_ATOM, Not: _PREC_PREFIX, CondBox: _PREC_PREFIX,
+         And: _PREC_AND, CondCorner: _PREC_CORNER}
 
 
 def _render(f: Formula, need: int) -> str:
@@ -502,7 +534,7 @@ def _render(f: Formula, need: int) -> str:
         s = _render(f.left, _PREC_CORNER + 1) + " |> " + _render(f.right, _PREC_CORNER + 1)
     else:
         raise TypeError(f"not a formula: {f!r}")
-    if _prec(f) < need:
+    if _PREC[type(f)] < need:
         return f"({s})"
     return s
 

@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .formula import (
@@ -29,9 +29,6 @@ from .formula import (
     Not,
     ParseError,
     atoms,
-    is_closed,
-    is_flat,
-    is_propositional,
     parse_formula,
     render,
 )
@@ -106,7 +103,7 @@ SYSTEMS: Dict[str, Dict] = {
 
 
 def _meets(f: Formula, condition: str) -> bool:
-    return is_propositional(f) if condition == PROP else is_closed(f)
+    return not f.depth if condition == PROP else f.closed
 
 
 def match_schema(schema: Schema, f: Formula) -> Optional[Dict[str, Formula]]:
@@ -116,22 +113,10 @@ def match_schema(schema: Schema, f: Formula) -> Optional[Dict[str, Formula]]:
     def unify(t: Formula, g: Formula) -> bool:
         if isinstance(t, Atom):
             if t.name in binding:
-                return binding[t.name] == g
+                return binding[t.name] is g
             binding[t.name] = g
             return True
-        if type(t) is not type(g):
-            return False
-        if isinstance(t, Falsum):
-            return True
-        if isinstance(t, Not):
-            return unify(t.child, g.child)
-        if isinstance(t, And):
-            return unify(t.left, g.left) and unify(t.right, g.right)
-        if isinstance(t, CondBox):
-            return unify(t.antecedent, g.antecedent) and unify(t.consequent, g.consequent)
-        if isinstance(t, CondCorner):
-            return unify(t.left, g.left) and unify(t.right, g.right)
-        return False
+        return type(t) is type(g) and all(map(unify, t.children(), g.children()))
 
     if not unify(schema.template, f):
         return None
@@ -147,15 +132,7 @@ def instantiate(schema: Schema, subst: Mapping[str, Formula]) -> Formula:
             if t.name not in subst:
                 raise ProofError(f"substitution misses metavariable {t.name!r}")
             return subst[t.name]
-        if isinstance(t, Falsum):
-            return t
-        if isinstance(t, Not):
-            return Not(walk(t.child))
-        if isinstance(t, And):
-            return And(walk(t.left), walk(t.right))
-        if isinstance(t, CondBox):
-            return CondBox(walk(t.antecedent), walk(t.consequent))
-        return CondCorner(walk(t.left), walk(t.right))
+        return type(t)(*map(walk, t.children()))
 
     return walk(schema.template)
 
@@ -281,7 +258,7 @@ def _check_replacement(step: ProofStep, premise: Formula, rule: str, dialect: st
         # the rules restrict every displayed formula to the propositional base
         parts = (a, b, left[1]) if rule == "rcea" else (a, b, left[0])
         for g in parts:
-            if not is_propositional(g):
+            if g.depth:
                 return f"{rule} requires propositional arguments, got {render(g)!r}"
     return None
 
@@ -298,7 +275,7 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
         verdict.errors.append(f"step {i + 1}: {msg}")
 
     for i, step in enumerate(steps):
-        if spec["flat_only"] and not is_flat(step.formula):
+        if spec["flat_only"] and step.formula.depth > 1:
             fail(i, "formula is not flat")
             continue
         by = step.by
@@ -377,10 +354,14 @@ def load_proof(source) -> Tuple[str, List[ProofStep]]:
     if system not in SYSTEMS:
         raise ProofError(f"unknown system {system!r}")
     dialect = SYSTEMS[system]["dialect"]
+    if not isinstance(data["steps"], list):
+        raise ProofError("'steps' must be a list")
     steps = []
     for i, raw in enumerate(data["steps"]):
         if not isinstance(raw, dict) or "formula" not in raw or "by" not in raw:
             raise ProofError(f"step {i + 1}: needs 'formula' and 'by'")
+        if not isinstance(raw["formula"], str):
+            raise ProofError(f"step {i + 1}: 'formula' must be a string")
         try:
             formula = parse_formula(raw["formula"], dialect=dialect)
         except ParseError as exc:
@@ -427,31 +408,42 @@ class SweepReport:
         return not self.failures
 
 
-def soundness_sweep(system: str, bounds) -> SweepReport:
-    """Search for countermodels to axiom instances, one search per schema; failures falsify soundness."""
-    from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
-    from .lewis import v_witness
-
-    spec = SYSTEMS[system]
-    dialect = spec["dialect"]
-    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds) if dialect == "v" else bounds
-    report = SweepReport(system)
+def sweep_substitutions(system: str) -> Iterator[Tuple[Schema, List[Dict[str, Formula]]]]:
+    """Each axiom schema of ``system`` with the substitutions its soundness sweep tries."""
+    dialect = SYSTEMS[system]["dialect"]
     pools = {
         PROP: [parse_formula(t, dialect=dialect) for t in _PROP_POOL],
         CLOSED: [parse_formula(t, dialect="conwon") for t in _CLOSED_POOL],
         None: [parse_formula(t, dialect=dialect)
                for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
     }
-    for schema in spec["axioms"]:
+    for schema in SYSTEMS[system]["axioms"]:
         variables = tuple(sorted(atoms(schema.template)))
-        combos = list(itertools.product(*(pools[schema.conditions.get(v)] for v in variables)))
+        combos = itertools.product(*(pools[schema.conditions.get(v)] for v in variables))
+        yield schema, [dict(zip(variables, combo)) for combo in combos]
+
+
+def soundness_sweep(system: str, bounds) -> SweepReport:
+    """Search for countermodels to axiom instances, one search per schema; failures falsify soundness.
+
+    Each instance is lowered from the schema's template under its
+    substitution; only an instance with a countermodel is built, to
+    re-check the witness.
+    """
+    from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
+    from .lewis import v_witness
+
+    dialect = SYSTEMS[system]["dialect"]
+    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds) if dialect == "v" else bounds
+    report = SweepReport(system)
+    for schema, substs in sweep_substitutions(system):
         compiled = CompiledFormula()
-        queries = [(compiled.add(instantiate(schema, dict(zip(variables, combo)))),) for combo in combos]
-        report.instances += len(combos)
-        for combo, witness in zip(combos, search_points(compiled, queries, bounds, falsified)):
+        queries = [(compiled.add(schema.template, subst),) for subst in substs]
+        report.instances += len(substs)
+        for subst, witness in zip(substs, search_points(compiled, queries, bounds, falsified)):
             if witness is None:
                 continue
-            instance = instantiate(schema, dict(zip(variables, combo)))
+            instance = instantiate(schema, subst)
             if dialect == "conwon":
                 recheck_countermodel(instance, witness)
                 report.failures.append(f"{schema.identifier}: falsified by {witness}")

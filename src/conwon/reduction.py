@@ -48,19 +48,14 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InputError
 from .formula import (
     And,
-    Atom,
     CondBox,
     CondDia,
     EveryWorld,
-    Falsum,
     Formula,
     Implies,
     Not,
     Or,
     SomeWorld,
-    is_closed,
-    is_propositional,
-    modal_depth,
 )
 
 MAX_SIGMA_NODES = 1_000_000
@@ -120,24 +115,24 @@ def rewrite_step(f: Formula) -> Formula:
     if not isinstance(f, CondBox):
         raise RewriteError("rewrite_step expects a conditional")
     alpha, body = f.antecedent, f.consequent
-    if modal_depth(body) > 1:
+    if body.depth > 1:
         raise RewriteError("conditional body must have modal depth at most 1")
     if isinstance(body, And):
         return And(CondBox(alpha, body.left), CondBox(alpha, body.right))
     disjuncts = _match_or(body)
     if disjuncts is not None:
         a, b = disjuncts
-        if is_closed(b) or is_closed(a):
+        if b.closed or a.closed:
             return Or(CondBox(alpha, a), CondBox(alpha, b))
         raise RewriteError("disjunction splits only past a closed disjunct")
     if isinstance(body, CondBox):
-        if not is_propositional(body.consequent):
+        if body.consequent.depth:
             raise RewriteError("nested conditional consequent must be propositional")
         return _box_over_box(alpha, body.antecedent, body.consequent)
     if isinstance(body, Not) and isinstance(body.child, CondBox):
         inner = body.child
         gamma = inner.consequent.child if isinstance(inner.consequent, Not) else Not(inner.consequent)
-        if not is_propositional(gamma):
+        if gamma.depth:
             raise RewriteError("nested dual consequent must be propositional")
         return _box_over_dia(alpha, inner.antecedent, gamma)
     raise RewriteError("no applicable rewrite")
@@ -159,6 +154,20 @@ def _over_cap() -> RewriteError:
     return RewriteError(f"sigma output exceeds the cap of {MAX_SIGMA_NODES} nodes")
 
 
+def _capped(f: Formula) -> Formula:
+    """``f``, a node :func:`sigma` built, unless it prints more than the cap."""
+    if f.size > MAX_SIGMA_NODES:
+        raise _over_cap()
+    return f
+
+
+def _kind(body: Formula) -> str:
+    """Kind of a depth-<=1 body; case by case the recursive kind: atom, falsum prop (depth 0),
+    conditional closed, ``~b`` as b, ``l & r`` the kind shared by l and r (both depth 0, both
+    closed), else mixed."""
+    return _PROP if not body.depth else _CLOSED if body.closed else _MIXED
+
+
 def _or_opt(a: Optional[Formula], b: Optional[Formula]) -> Optional[Formula]:
     if a is None:
         return b
@@ -166,108 +175,74 @@ def _or_opt(a: Optional[Formula], b: Optional[Formula]) -> Optional[Formula]:
 
 
 class _Flattener:
-    """One :func:`sigma` call over hash-consed nodes.
+    """One :func:`sigma` call.
 
-    :meth:`intern` maps every node built to one canonical node per
-    structure, keyed on its kind and its canonical children's ids (hashing
-    a frozen dataclass would walk the whole subtree).  ``table`` keeps the
-    canonical nodes alive, so the other tables can key on ``id`` too;
-    ``sizes`` holds the tree size of exactly the canonical nodes.
+    Formula nodes are interned, so the memos key on the nodes themselves
+    and every output is shared wherever it recurs.  Each node built is
+    checked against :data:`MAX_SIGMA_NODES` by the size it records.
     """
 
     def __init__(self) -> None:
-        self.table: Dict[tuple, Formula] = {}
-        self.sizes: Dict[int, int] = {}
-        self.kinds: Dict[int, str] = {}
-        self.flat_memo: Dict[int, Formula] = {}  # keyed on input nodes
-        self.lift_memo: Dict[Tuple[int, int], Formula] = {}
-
-    def intern(self, f: Formula) -> Formula:
-        if id(f) in self.sizes:
-            return f
-        if isinstance(f, Atom):
-            key, node, size = ("atom", f.name), f, 1
-        elif isinstance(f, Falsum):
-            key, node, size = ("false",), f, 1
-        elif isinstance(f, Not):
-            child = self.intern(f.child)
-            key, node = ("not", id(child)), Not(child)
-            size = 1 + self.sizes[id(child)]
-        elif isinstance(f, And):
-            left, right = self.intern(f.left), self.intern(f.right)
-            key, node = ("and", id(left), id(right)), And(left, right)
-            size = 1 + self.sizes[id(left)] + self.sizes[id(right)]
-        elif isinstance(f, CondBox):
-            alpha, body = self.intern(f.antecedent), self.intern(f.consequent)
-            key, node = ("box", id(alpha), id(body)), CondBox(alpha, body)
-            size = 1 + self.sizes[id(alpha)] + self.sizes[id(body)]
-        else:
-            raise RewriteError("sigma applies to conwon-dialect formulas")
-        found = self.table.get(key)
-        if found is None:
-            if size > MAX_SIGMA_NODES:
-                raise _over_cap()
-            found = self.table[key] = node
-            self.sizes[id(node)] = size
-        return found
+        self.flat_memo: Dict[Formula, Formula] = {}
+        self.lift_memo: Dict[Tuple[Formula, Formula], Formula] = {}
 
     def flat(self, f: Formula) -> Formula:
-        out = self.flat_memo.get(id(f))
-        if out is not None:
-            return out
-        if isinstance(f, Not):
-            out = self.intern(Not(self.flat(f.child)))
-        elif isinstance(f, And):
-            out = self.intern(And(self.flat(f.left), self.flat(f.right)))
-        elif isinstance(f, CondBox):
-            out = self.box(self.intern(f.antecedent), self.flat(f.consequent))
-        else:
-            out = self.intern(f)
-        self.flat_memo[id(f)] = out
+        if not f.depth:
+            return f
+        out = self.flat_memo.get(f)
+        if out is None:
+            if isinstance(f, Not):
+                out = _capped(Not(self.flat(f.child)))
+            elif isinstance(f, And):
+                out = _capped(And(self.flat(f.left), self.flat(f.right)))
+            elif isinstance(f, CondBox):
+                out = self.box(f.antecedent, self.flat(f.consequent))
+            else:
+                raise RewriteError("sigma applies to conwon-dialect formulas")
+            self.flat_memo[f] = out
         return out
 
     def box(self, alpha: Formula, body: Formula) -> Formula:
         """Flat equivalent of ``[alpha] body`` for a depth-<=1 body."""
-        kind = self.kind(body)
+        kind = _kind(body)
         if kind == _PROP:
-            return self.intern(CondBox(alpha, body))
+            return _capped(CondBox(alpha, body))
         if isinstance(body, And):
-            return self.intern(And(self.box(alpha, body.left), self.box(alpha, body.right)))
+            return _capped(And(self.box(alpha, body.left), self.box(alpha, body.right)))
         if kind == _CLOSED:
-            return self.intern(Implies(SomeWorld(alpha), self.lift(alpha, body)))
+            return _capped(Implies(SomeWorld(alpha), self.lift(alpha, body)))
         conjuncts = []
         for p, k, _ in self.clauses(body, True):
             prop = None if p is None else CondBox(alpha, p)
-            closed = None if k is None else Implies(SomeWorld(alpha), self.lift(alpha, self.intern(k)))
-            conjuncts.append(self.intern(_or_opt(prop, closed)))
+            closed = None if k is None else Implies(SomeWorld(alpha), self.lift(alpha, _capped(k)))
+            conjuncts.append(_capped(_or_opt(prop, closed)))
         out = conjuncts[0]
         for c in conjuncts[1:]:
-            out = self.intern(And(out, c))
+            out = _capped(And(out, c))
         return out
 
     def lift(self, alpha: Formula, k: Formula) -> Formula:
         """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` in its 2c form under ``E alpha``."""
-        key = (id(alpha), id(k))
+        key = (alpha, k)
         out = self.lift_memo.get(key)
-        if out is not None:
-            return out
-        if isinstance(k, Not):
-            out = Not(self.lift(alpha, k.child))
-        elif isinstance(k, And):
-            out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
-        else:  # a conditional with a propositional consequent
-            out = _box_over_box_body(alpha, k.antecedent, k.consequent)
-        out = self.lift_memo[key] = self.intern(out)
+        if out is None:
+            if isinstance(k, Not):
+                out = Not(self.lift(alpha, k.child))
+            elif isinstance(k, And):
+                out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
+            else:  # a conditional with a propositional consequent
+                out = _box_over_box_body(alpha, k.antecedent, k.consequent)
+            out = self.lift_memo[key] = _capped(out)
         return out
 
     def clauses(self, b: Formula, positive: bool) -> List[_Clause]:
         """``b`` (or ``~b`` if not positive) as a conjunction of clauses P | K."""
         if isinstance(b, Not):
             return self.clauses(b.child, not positive)
-        kind = self.kind(b)
+        kind = _kind(b)
         if kind != _MIXED:
             literal = b if positive else Not(b)
-            n = self.sizes[id(b)] + (not positive)
+            n = b.size + (not positive)
             return [(literal, None, n)] if kind == _PROP else [(None, literal, n)]
         left, right = self.clauses(b.left, positive), self.clauses(b.right, positive)
         if positive:
@@ -277,21 +252,6 @@ class _Flattener:
         if product > MAX_SIGMA_NODES:
             raise _over_cap()
         return [(_or_opt(p, q), _or_opt(k, m), s + t) for p, k, s in left for q, m, t in right]
-
-    def kind(self, f: Formula) -> str:
-        if isinstance(f, (Atom, Falsum)):
-            return _PROP
-        if isinstance(f, CondBox):
-            return _CLOSED
-        kind = self.kinds.get(id(f))
-        if kind is None:
-            if isinstance(f, Not):
-                kind = self.kind(f.child)
-            else:
-                left, right = self.kind(f.left), self.kind(f.right)
-                kind = left if left == right else _MIXED
-            self.kinds[id(f)] = kind
-        return kind
 
 
 def sigma(f: Formula) -> Formula:

@@ -56,7 +56,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .formula import (
@@ -276,15 +276,21 @@ class CompiledFormula:
         if f is not None:
             self.root = self.add(f)
 
-    def add(self, f: Formula) -> int:
-        """Lower ``f`` and return its node; no reference to ``f`` is kept."""
-        self._seen: Dict[int, int] = {}  # id of a subformula of f -> node
+    def add(self, f: Formula, subst: Optional[Mapping[str, Formula]] = None) -> int:
+        """Lower ``f`` and return its node; no reference to a formula is kept.
+
+        Atoms named in ``subst`` stand for their formulas, all at once, as
+        in ``proofs.instantiate``; the instance itself is never built.
+        """
+        leaves = {name: self.add(g) for name, g in (subst or {}).items()}
+        self._seen: Dict[Formula, int] = {}  # subformula of f -> node
+        self._leaves = leaves  # atom name -> the node it stands for
         root = self._add(f)
-        del self._seen  # ids name objects only while f is alive
+        del self._seen, self._leaves
         return root
 
     def _add(self, f: Formula) -> int:
-        idx = self._seen.get(id(f))  # a shared subformula is lowered once
+        idx = self._seen.get(f)  # a shared subformula is lowered once
         if idx is not None:
             return idx
         cls, depths = type(f), self.depths
@@ -296,6 +302,7 @@ class CompiledFormula:
             depth = depths[key[1]]
         elif cls is Atom:
             key, depth = ("atom", f.name), 0
+            idx = self._leaves.get(f.name)
         elif cls is CondBox:
             key = ("box", self._add(f.antecedent), self._add(f.consequent))
             depth = 1 + max(depths[key[1]], depths[key[2]])
@@ -306,7 +313,8 @@ class CompiledFormula:
             key, depth = ("false",), 0
         else:
             raise TypeError(f"not a formula: {f!r}")
-        idx = self._index.get(key)
+        if idx is None:
+            idx = self._index.get(key)
         if idx is None:
             idx = self._index[key] = len(self.nodes)
             self.nodes.append(key)
@@ -317,7 +325,7 @@ class CompiledFormula:
             bases.append(~bases[key[1]] if depth and cls is Not else idx)
             if not depth:
                 self.prop_plan.append((idx, *(key + (0, 0))[:3]))
-        self._seen[id(f)] = idx
+        self._seen[f] = idx
         return idx
 
     def plan(self, node: int) -> List[tuple]:

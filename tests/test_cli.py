@@ -355,6 +355,15 @@ def test_check_proof_malformed_exit_2(runner, tmp_path):
     assert result.exit_code == 2
     assert result.stderr == "error: step 1: 'by' must be an object\n"
     assert "Traceback" not in result.output
+    for proof, message in [
+        ({"system": "conwon", "steps": 5}, "'steps' must be a list"),
+        ({"system": "conwon", "steps": [{"formula": 5, "by": {"axiom": "conwon.3a"}}]},
+         "step 1: 'formula' must be a string"),
+    ]:
+        path.write_text(json.dumps(proof))
+        result = runner.invoke(main, ["check-proof", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
 
 
 # --- examples -------------------------------------------------------------

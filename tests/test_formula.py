@@ -1,8 +1,12 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conwon import formula
 from conwon.formula import (
     And,
     Atom,
@@ -141,6 +145,17 @@ def _closed_reference(f):
     return False
 
 
+def _size_reference(f):
+    # the nodes render prints, counted on the tree
+    if isinstance(f, (Atom, Falsum)):
+        return 1
+    if isinstance(f, Not):
+        return 1 + _size_reference(f.child)
+    if isinstance(f, CondBox):
+        return 1 + _size_reference(f.antecedent) + _size_reference(f.consequent)
+    return 1 + _size_reference(f.left) + _size_reference(f.right)
+
+
 def test_classify_against_reference():
     rng = random.Random(11)
     for _ in range(400):
@@ -150,6 +165,7 @@ def test_classify_against_reference():
         assert info.is_propositional == (info.modal_depth == 0)
         assert info.is_flat == (info.modal_depth <= 1)
         assert info.is_closed == _closed_reference(f)
+        assert f.size == _size_reference(f)
 
 
 def test_closed_examples():
@@ -201,3 +217,51 @@ def test_dialect_of():
     assert dialect_of(parse_formula("[p]q")) == "conwon"
     assert dialect_of(parse_formula("p |> q", dialect="v")) == "v"
     assert dialect_of(parse_formula("p & q")) == "conwon"
+
+
+# --- interning -------------------------------------------------------------
+
+
+def test_equal_formulas_are_identical():
+    for text in ["[p](q -> E r) & ~[q]p", "p <-> q", "false", "A (p | q)"]:
+        assert parse_formula(text) is parse_formula(text)
+    built = And(CondBox(p, Not(And(q, Not(r)))), Not(CondBox(q, p)))
+    assert parse_formula("[p](q -> r) & ~[q]p") is built
+    assert CondCorner(p, q) is parse_formula("p |> q", dialect="v")
+
+
+def test_nodes_are_immutable():
+    f = parse_formula("[p]q & r")
+    for name in ("left", "depth", "size", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, p)
+    with pytest.raises(AttributeError):
+        del f.left
+    assert f.left is CondBox(p, q)
+
+
+def test_copies_are_the_node_itself():
+    f = parse_formula("[p](q | [q]r) -> E p")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_intern_table_drops_dead_nodes():
+    gc.collect()
+    before = len(formula._INTERNED)
+    nodes = [And(Atom(f"x{i}"), Not(Atom(f"y{i}"))) for i in range(10_000)]
+    assert len(formula._INTERNED) >= before + 10_000
+    del nodes
+    gc.collect()
+    assert len(formula._INTERNED) == before
+
+
+def test_deep_formula_hash_eq_classify():
+    f = parse_formula(" & ".join(["p"] * 10_000))
+    assert hash(f) == hash(f) and f == f and f is not f.left
+    assert classify(f) == (True, False, True, 0)
+    assert f.size == 19_999
+    g = parse_formula(" & ".join(["[p]q"] * 10_000))
+    assert classify(g) == (False, True, True, 1)
+    assert is_closed(g) and modal_depth(g) == 1

@@ -19,9 +19,10 @@ from conwon.proofs import (
     load_proof,
     match_schema,
     soundness_sweep,
+    sweep_substitutions,
     tautological_consequence,
 )
-from conwon.semantics import SearchBounds, eval_cpm, find_countermodel
+from conwon.semantics import CompiledFormula, SearchBounds, eval_cpm, find_countermodel
 
 
 def pf(text):
@@ -154,6 +155,10 @@ def test_load_proof_errors():
         load_proof({"system": "nope", "steps": []})
     with pytest.raises(ProofError, match="'formula' and 'by'"):
         load_proof({"system": "conwon", "steps": [{"formula": "p"}]})
+    with pytest.raises(ProofError, match="'steps' must be a list"):
+        load_proof({"system": "conwon", "steps": 5})
+    with pytest.raises(ProofError, match="step 1: 'formula' must be a string"):
+        load_proof({"system": "conwon", "steps": [{"formula": 5, "by": {"axiom": "conwon.3a"}}]})
     with pytest.raises(ProofError, match="step 1"):
         load_proof({"system": "conwon",
                     "steps": [{"formula": "p &", "by": {"rule": "taut", "from": []}}]})
@@ -202,6 +207,25 @@ def test_soundness_sweep_instance_counts():
     v1 = soundness_sweep("v1", SearchBounds(2, 5))
     assert (conwon.instances, v1.instances) == (1025, 630)
     assert conwon.ok and v1.ok
+
+
+def test_sweep_lowers_templates_as_instances():
+    # lowering a template under a substitution reaches the instance's own node
+    counts = {}
+    for system in ("conwon", "v1"):
+        counts[system] = mismatches = 0
+        for schema, substs in sweep_substitutions(system):
+            compiled = CompiledFormula()
+            for subst in substs:
+                lowered = compiled.add(schema.template, subst)
+                mismatches += lowered != compiled.add(instantiate(schema, subst))
+            counts[system] += len(substs)
+        assert mismatches == 0, system
+    assert counts == {"conwon": 1025, "v1": 630}
+    # the substitution is simultaneous: a value's atoms are not substituted again
+    compiled = CompiledFormula()
+    swapped = compiled.add(pf("[p]q"), {"p": Atom("q"), "q": Atom("p")})
+    assert swapped == compiled.add(pf("[q]p")) != compiled.add(pf("[q]q"))
 
 
 def test_soundness_sweep_reports_unsound_schemas(monkeypatch):
