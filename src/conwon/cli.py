@@ -4,22 +4,25 @@ Exit codes: 0 for success (true / valid up to bounds / proof accepted),
 1 for a negative verdict (false / countermodel found / proof rejected),
 2 for usage or input errors, 3 for an internal fault.
 
-Each subcommand imports what it uses when it runs; input errors subclass
-:class:`conwon.errors.InputError` and exit 2.
+The parser is the standard library's :mod:`argparse`, whose usage errors
+also exit 2. Each subcommand imports what it uses when it runs; input
+errors subclass :class:`conwon.errors.InputError` and exit 2.
 """
 
+import argparse
 import functools
 import json
 import sys
 
-import click
-
 from .errors import InputError
-from .fixtures import EXAMPLES, run_example
+
+# ``sorted(fixtures.EXAMPLES)``, spelled out so that building the parser loads no fixture
+EXAMPLE_NAMES = ("fact16", "figure1", "nonmono", "reagan", "tiger")
+SHOW_DEFAULT = "(default: %(default)s)"
 
 
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -32,37 +35,21 @@ def guarded(fn):
             _fail(str(exc))
         except RecursionError:
             _fail("formula is nested too deeply")
-        except click.ClickException:
-            raise
         except Exception as exc:  # a fault of conwon itself, never a verdict
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(3)
 
     return wrapper
 
 
-output_option = click.option(
-    "--output", type=click.Choice(["human", "json"]), default="human", show_default=True
-)
-
-
 def emit(output: str, payload: dict, lines) -> None:
     if output == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
-            click.echo(line)
+            print(line)
 
 
-@click.group()
-def main() -> None:
-    """Tools for conditional weak ontic necessity."""
-
-
-@main.command("parse")
-@click.argument("formula")
-@click.option("--dialect", type=click.Choice(["conwon", "v"]), default="conwon", show_default=True)
-@output_option
 @guarded
 def parse_cmd(formula: str, dialect: str, output: str) -> None:
     """Parse FORMULA and print its canonical desugared form."""
@@ -97,13 +84,6 @@ def _trace_lines(trace):
     return lines
 
 
-@main.command("eval")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--context", "context_path", required=True, type=click.Path())
-@click.option("--world", required=True)
-@click.option("--formula", required=True)
-@click.option("--trace", is_flag=True)
-@output_option
 @guarded
 def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
     """Evaluate a formula at (model, context, world)."""
@@ -126,10 +106,6 @@ def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
     sys.exit(0 if value else 1)
 
 
-@main.command("expected")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--context", "context_path", required=True, type=click.Path())
-@output_option
 @guarded
 def expected_cmd(model_path, context_path, output) -> None:
     """Print the expected states of a context."""
@@ -148,11 +124,6 @@ def expected_cmd(model_path, context_path, output) -> None:
     emit(output, payload, lines)
 
 
-@main.command("update")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--context", "context_path", required=True, type=click.Path())
-@click.option("--alpha", required=True, help="propositional formula generating the new default")
-@output_option
 @guarded
 def update_cmd(model_path, context_path, alpha, output) -> None:
     """Update a context with the default generated by a formula."""
@@ -179,9 +150,6 @@ def update_cmd(model_path, context_path, alpha, output) -> None:
     emit(output, payload, lines)
 
 
-@main.command("reduce")
-@click.option("--formula", required=True)
-@output_option
 @guarded
 def reduce_cmd(formula, output) -> None:
     """Translate a formula into the flat fragment."""
@@ -194,11 +162,6 @@ def reduce_cmd(formula, output) -> None:
     emit(output, payload, [render(flat)])
 
 
-@main.command("falsify")
-@click.option("--formula", required=True)
-@click.option("--max-worlds", default=3, show_default=True)
-@click.option("--max-context-len", default=3, show_default=True)
-@output_option
 @guarded
 def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
     """Search for a countermodel within the given bounds."""
@@ -217,12 +180,6 @@ def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
     sys.exit(1)
 
 
-@main.command("compare-v")
-@click.option("--formula", required=True)
-@click.option("--max-worlds", default=3, show_default=True)
-@click.option("--max-context-len", default=3, show_default=True)
-@click.option("--dialect", type=click.Choice(["conwon", "v"]), default="conwon", show_default=True)
-@output_option
 @guarded
 def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None:
     """Compare bounded satisfiability against the comparative-possibility logic."""
@@ -250,10 +207,6 @@ def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None
     sys.exit(0 if ok else 1)
 
 
-@main.command("check-proof")
-@click.argument("proof_file", type=click.Path())
-@click.option("--system", "system_override", type=click.Choice(["conwon", "v1"]), default=None)
-@output_option
 @guarded
 def check_proof_cmd(proof_file, system_override, output) -> None:
     """Check a Hilbert-style proof file."""
@@ -269,20 +222,69 @@ def check_proof_cmd(proof_file, system_override, output) -> None:
     sys.exit(0 if verdict.ok else 1)
 
 
-@main.group("examples")
-def examples_group() -> None:
-    """Bundled worked examples."""
-
-
-@examples_group.command("run")
-@click.argument("name", type=click.Choice(sorted(EXAMPLES)))
-@output_option
 @guarded
 def examples_run(name, output) -> None:
     """Re-derive a bundled example's verdicts from its fixture."""
+    from .fixtures import run_example
+
     code, lines, payload = run_example(name)
     emit(output, payload, lines)
     sys.exit(code)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One parser: a subparser per subcommand, and ``examples run`` nested."""
+    parser = argparse.ArgumentParser(
+        prog="conwon", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, handler, group=commands):
+        sub = group.add_parser(name, help=handler.__doc__, description=handler.__doc__,
+                               allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        sub.add_argument("--output", choices=["human", "json"], default="human", help=SHOW_DEFAULT)
+        return sub
+
+    def model_files(sub):
+        sub.add_argument("--model", dest="model_path", required=True)
+        sub.add_argument("--context", dest="context_path", required=True)
+        return sub
+
+    def bounds(sub):
+        sub.add_argument("--formula", required=True)
+        sub.add_argument("--max-worlds", type=int, default=3, help=SHOW_DEFAULT)
+        sub.add_argument("--max-context-len", type=int, default=3, help=SHOW_DEFAULT)
+        return sub
+
+    sub = command("parse", parse_cmd)
+    sub.add_argument("formula")
+    sub.add_argument("--dialect", choices=["conwon", "v"], default="conwon", help=SHOW_DEFAULT)
+    sub = model_files(command("eval", eval_cmd))
+    sub.add_argument("--world", required=True)
+    sub.add_argument("--formula", required=True)
+    sub.add_argument("--trace", action="store_true")
+    model_files(command("expected", expected_cmd))
+    model_files(command("update", update_cmd)).add_argument(
+        "--alpha", required=True, help="propositional formula generating the new default")
+    command("reduce", reduce_cmd).add_argument("--formula", required=True)
+    bounds(command("falsify", falsify_cmd))
+    bounds(command("compare-v", compare_v_cmd)).add_argument(
+        "--dialect", choices=["conwon", "v"], default="conwon", help=SHOW_DEFAULT)
+    sub = command("check-proof", check_proof_cmd)
+    sub.add_argument("proof_file")
+    sub.add_argument("--system", dest="system_override", choices=["conwon", "v1"])
+    examples = commands.add_parser("examples", help="Bundled worked examples.",
+                                   description="Bundled worked examples.", allow_abbrev=False)
+    runs = examples.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    command("run", examples_run, runs).add_argument("name", choices=EXAMPLE_NAMES)
+    return parser
+
+
+def main(argv=None) -> None:
+    """Tools for conditional weak ontic necessity."""
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    args.pop("handler")(**args)
 
 
 if __name__ == "__main__":

@@ -257,23 +257,28 @@ def classify(f: Formula) -> Classification:
     return Classification(f.depth == 0, f.closed, f.depth <= 1, f.depth)
 
 
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Each distinct node of ``f``'s DAG once, ``f`` first: linear in DAG nodes, no recursion."""
+    seen, stack = {f}, [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for child in g.children():
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+
+
 def atoms(f: Formula) -> frozenset:
-    if isinstance(f, Atom):
-        return frozenset([f.name])
-    return frozenset().union(*map(atoms, f.children()))
+    return frozenset(g.name for g in subformulas(f) if type(g) is Atom)
 
 
 def dialect_of(f: Formula) -> str:
     """The dialect a core formula belongs to; boolean formulas fit both."""
-
-    def kinds(g: Formula) -> frozenset:
-        own = {"box"} if isinstance(g, CondBox) else {"corner"} if isinstance(g, CondCorner) else set()
-        return frozenset(own).union(*map(kinds, g.children()))
-
-    seen = kinds(f)
-    if "box" in seen and "corner" in seen:
+    kinds = set(map(type, subformulas(f)))
+    if CondBox in kinds and CondCorner in kinds:
         raise ValueError("formula mixes both dialects")
-    return V if "corner" in seen else CONWON
+    return V if CondCorner in kinds else CONWON
 
 
 def translate_flat(f: Formula, target: str) -> Formula:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .formula import (
     And,
@@ -290,7 +290,7 @@ def context_to_partition(entries: Sequence[WorldSet], world_set: Optional[WorldS
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of pseudo-sphere models
+# Ordered partitions and pseudo-sphere witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -306,42 +306,6 @@ def ordered_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str],
             remainder = tuple(x for x in pool if x not in chosen)
             for tail in ordered_partitions(remainder):
                 yield (chosen,) + tail
-
-
-def _canonical_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str], ...]]:
-    """Ordered partitions with blocks in min-element order.
-
-    Every ordered partition can be relabelled into this form, and the
-    model enumeration ranges over all valuations independently, so
-    restricting to these loses nothing up to world renaming.
-    """
-    if not items:
-        yield ()
-        return
-    pool = list(items)
-    first = pool[0]
-    rest = pool[1:]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            block = frozenset((first,) + extra)
-            remainder = tuple(x for x in rest if x not in block)
-            for tail in _canonical_partitions(remainder):
-                yield (block,) + tail
-
-
-def iter_pseudo_sphere_models(atom_names: Sequence[str], max_worlds: int) -> Iterator[PseudoSphereModelV]:
-    """Canonical enumeration; empty blocks omitted per the removal lemma."""
-    for n in range(1, max_worlds + 1):
-        worlds = tuple(f"w{i + 1}" for i in range(n))
-        extents = list(itertools.product(*[range(2)] * n))
-        for choice in itertools.product(extents, repeat=len(atom_names)):
-            valuation = {
-                a: frozenset(w for w, bit in zip(worlds, bits) if bit)
-                for a, bits in zip(atom_names, choice)
-            }
-            model = Model(worlds, valuation)
-            for spheres in _canonical_partitions(worlds):
-                yield PseudoSphereModelV(model, spheres)
 
 
 def satisfying_witness_v(f: Formula, max_worlds: int) -> Optional[Tuple[PseudoSphereModelV, str]]:

@@ -424,20 +424,6 @@ class ModelEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def iter_models(atom_names: Tuple[str, ...], n_worlds: int):
-    """All valuations of the given atoms over a fixed n-world set."""
-    masks = range(1 << n_worlds)
-    for assignment in itertools.product(masks, repeat=len(atom_names)):
-        yield dict(zip(atom_names, assignment))
-
-
-def iter_contexts(n_worlds: int, max_len: int):
-    """Duplicate-free sequence contexts over subsets of the world set."""
-    subsets = range(1 << n_worlds)
-    for length in range(1, max_len + 1):
-        yield from itertools.permutations(subsets, length)
-
-
 @functools.lru_cache(maxsize=64)
 def chains(n_worlds: int, max_len: int) -> Tuple[Chain, ...]:
     """The empty chain, then every chain of length <= max_len, shortest first.

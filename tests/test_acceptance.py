@@ -10,9 +10,7 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
-from conwon.cli import main as cli_main
 from conwon.fixtures import (
     INVALID_PROOFS,
     REAGAN_CONTEXT,
@@ -41,10 +39,9 @@ from conwon.semantics import (
     evaluate,
     find_countermodel,
     is_valid_up_to,
-    iter_contexts,
     truth_masks_agree,
 )
-from conftest import formula_battery, random_formula
+from conftest import formula_battery, invoke, iter_contexts, random_formula
 
 
 @pytest.fixture
@@ -301,9 +298,8 @@ def test_criterion_10_parser(announce):
             count += 1
             if parse_formula(render(f), dialect=dialect) != f:
                 ok = False
-    runner = CliRunner()
     for bad in ["p &", "(p | q", "p q", "[p q", "p <-> q <-> r", "@", "p ->"]:
-        result = runner.invoke(cli_main, ["parse", bad])
+        result = invoke(["parse", bad])
         if result.exit_code != 2 or "position" not in result.output:
             ok = False
     announce(10, f"round-trip identity on {count} formulas; grammar errors exit 2 with position",

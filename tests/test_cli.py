@@ -1,10 +1,10 @@
+import argparse
 import json
 
-import click
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from conwon.cli import main
+from conwon.cli import build_parser
 from conwon.errors import InputError
 from conwon.fixtures import (
     NONMONO_CONTEXT,
@@ -18,11 +18,7 @@ from conwon.models import SchemaError, load_context, load_model
 from conwon.proofs import ProofError
 from conwon.reduction import RewriteError
 from conwon.semantics import EvaluationError, evaluate
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import invoke
 
 
 @pytest.fixture
@@ -46,18 +42,23 @@ def nonmono_files(tmp_path):
 # --- error boundary -------------------------------------------------------
 
 
-def command_paths(group, prefix=()):
-    for name, command in sorted(group.commands.items()):
+def subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from sorted(action.choices.items())
+
+
+def command_paths(parser, prefix=()):
+    for name, sub in subparsers(parser):
         yield [*prefix, name]
-        if isinstance(command, click.Group):
-            yield from command_paths(command, (*prefix, name))
+        yield from command_paths(sub, (*prefix, name))
 
 
-@pytest.mark.parametrize("path", list(command_paths(main)), ids=" ".join)
-def test_help_exit_0(runner, path):
-    result = runner.invoke(main, [*path, "--help"])
+@pytest.mark.parametrize("path", list(command_paths(build_parser())), ids=" ".join)
+def test_help_exit_0(path):
+    result = invoke([*path, "--help"])
     assert result.exit_code == 0, result.output
-    assert result.output.startswith("Usage:")
+    assert result.output.startswith("usage:")
 
 
 @pytest.mark.parametrize("error", [ParseError, SchemaError, ProofError, RewriteError, EvaluationError])
@@ -69,14 +70,14 @@ def test_input_errors_share_one_base(error):
 # --- parse ----------------------------------------------------------------
 
 
-def test_parse_human(runner):
-    result = runner.invoke(main, ["parse", "[p](q -> r)"])
+def test_parse_human():
+    result = invoke(["parse", "[p](q -> r)"])
     assert result.exit_code == 0
     assert "modal depth 1" in result.output
 
 
-def test_parse_json_round_trips(runner):
-    result = runner.invoke(main, ["parse", "E p -> [p]q", "--output", "json"])
+def test_parse_json_round_trips():
+    result = invoke(["parse", "E p -> [p]q", "--output", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     f = parse_formula(payload["canonical"])
@@ -84,24 +85,24 @@ def test_parse_json_round_trips(runner):
     assert payload["flat"] is True and payload["closed"] is True
 
 
-def test_parse_error_exit_2_with_position(runner):
-    result = runner.invoke(main, ["parse", "p & ("])
+def test_parse_error_exit_2_with_position():
+    result = invoke(["parse", "p & ("])
     assert result.exit_code == 2
     assert "error:" in result.output
     assert "position" in result.output
 
 
-def test_dialect_error_exit_2(runner):
-    result = runner.invoke(main, ["parse", "p |> q"])
+def test_dialect_error_exit_2():
+    result = invoke(["parse", "p |> q"])
     assert result.exit_code == 2
 
 
 # --- eval -----------------------------------------------------------------
 
 
-def test_eval_true_exit_0(runner, tiger_files):
+def test_eval_true_exit_0(tiger_files):
     model, context = tiger_files
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--model", model, "--context", context,
         "--world", "w3", "--formula", "[a_g]~a_d", "--trace",
     ])
@@ -110,22 +111,22 @@ def test_eval_true_exit_0(runner, tiger_files):
     assert "hierarchy" in result.output
 
 
-def test_eval_and_example_share_the_trace_schema(runner, tiger_files):
+def test_eval_and_example_share_the_trace_schema(tiger_files):
     model, context = tiger_files
     step = {"antecedent": "a_g", "generated": ["w1", "w2", "w4", "w6"], "expected": ["w1"],
             "hierarchy": [["|a_g|"], ["D2"], ["D1", "D3"]]}
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--model", model, "--context", context,
         "--world", "w3", "--formula", "[a_g]~a_d", "--trace", "--output", "json",
     ])
     assert json.loads(result.output)["trace"] == [step]
-    result = runner.invoke(main, ["examples", "run", "tiger", "--output", "json"])
+    result = invoke(["examples", "run", "tiger", "--output", "json"])
     assert json.loads(result.output)["trace"] == [step]
 
 
-def test_eval_false_exit_1(runner, nonmono_files):
+def test_eval_false_exit_1(nonmono_files):
     model, context = nonmono_files
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--model", model, "--context", context,
         "--world", "w1", "--formula", "[p & ~q]q",
     ])
@@ -133,8 +134,8 @@ def test_eval_false_exit_1(runner, nonmono_files):
     assert "false" in result.output
 
 
-def test_eval_missing_file_exit_2(runner, tmp_path):
-    result = runner.invoke(main, [
+def test_eval_missing_file_exit_2(tmp_path):
+    result = invoke([
         "eval", "--model", str(tmp_path / "nope.json"),
         "--context", str(tmp_path / "nope.json"),
         "--world", "w1", "--formula", "p",
@@ -142,19 +143,19 @@ def test_eval_missing_file_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_eval_bad_schema_exit_2(runner, tmp_path):
+def test_eval_bad_schema_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"worlds": []}))
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--model", str(bad), "--context", str(bad),
         "--world", "w1", "--formula", "p",
     ])
     assert result.exit_code == 2
 
 
-def test_eval_unknown_world_exit_2(runner, tiger_files):
+def test_eval_unknown_world_exit_2(tiger_files):
     model, context = tiger_files
-    result = runner.invoke(main, [
+    result = invoke([
         "eval", "--model", model, "--context", context, "--world", "w9", "--formula", "p",
     ])
     assert result.exit_code == 2
@@ -165,9 +166,9 @@ def test_eval_unknown_world_exit_2(runner, tiger_files):
 # --- expected / update ----------------------------------------------------
 
 
-def test_expected_json(runner, tiger_files):
+def test_expected_json(tiger_files):
     model, context = tiger_files
-    result = runner.invoke(main, [
+    result = invoke([
         "expected", "--model", model, "--context", context, "--output", "json",
     ])
     assert result.exit_code == 0
@@ -176,9 +177,9 @@ def test_expected_json(runner, tiger_files):
     assert payload["hierarchy"] == [["D2"], ["D1", "D3"]]
 
 
-def test_update_json_round_trips_through_loader(runner, tiger_files):
+def test_update_json_round_trips_through_loader(tiger_files):
     model_path, context_path = tiger_files
-    result = runner.invoke(main, [
+    result = invoke([
         "update", "--model", model_path, "--context", context_path,
         "--alpha", "a_g", "--output", "json",
     ])
@@ -194,8 +195,8 @@ def test_update_json_round_trips_through_loader(runner, tiger_files):
 # --- reduce / falsify -----------------------------------------------------
 
 
-def test_reduce(runner):
-    result = runner.invoke(main, ["reduce", "--formula", "[p][q]r", "--output", "json"])
+def test_reduce():
+    result = invoke(["reduce", "--formula", "[p][q]r", "--output", "json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["modal_depth"] <= 1
@@ -203,22 +204,22 @@ def test_reduce(runner):
     parse_formula(payload["flat"])
 
 
-def test_reduce_depth5_chain(runner):
-    result = runner.invoke(main, ["reduce", "--formula", "[p][q][r][s][t]u", "--output", "json"])
+def test_reduce_depth5_chain():
+    result = invoke(["reduce", "--formula", "[p][q][r][s][t]u", "--output", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["modal_depth"] <= 1
 
 
-def test_reduce_over_the_cap_exit_2(runner):
-    result = runner.invoke(main, ["reduce", "--formula", "[p][q][r][s][t][u][v][w][x]y"])
+def test_reduce_over_the_cap_exit_2():
+    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x]y"])
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert "exceeds the cap" in result.stderr
     assert "Traceback" not in result.output
 
 
-def test_falsify_finds_countermodel(runner):
-    result = runner.invoke(main, [
+def test_falsify_finds_countermodel():
+    result = invoke([
         "falsify", "--formula", "([p]q) -> ([p & ~q]q)",
         "--max-worlds", "2", "--max-context-len", "3", "--output", "json",
     ])
@@ -229,17 +230,17 @@ def test_falsify_finds_countermodel(runner):
     assert load_context(witness["context"], model) is not None
 
 
-def test_falsify_validity_exit_0(runner):
-    result = runner.invoke(main, [
+def test_falsify_validity_exit_0():
+    result = invoke([
         "falsify", "--formula", "[p](q -> q)", "--max-worlds", "2",
     ])
     assert result.exit_code == 0
     assert "no countermodel" in result.output
 
 
-def test_falsify_propositional_needs_one_context(runner):
+def test_falsify_propositional_needs_one_context():
     # the cap counts canonical valuations times chains, one chain here
-    result = runner.invoke(main, [
+    result = invoke([
         "falsify", "--formula", "p|q|r|s|t|u", "--max-worlds", "4",
         "--max-context-len", "2", "--output", "json",
     ])
@@ -251,8 +252,8 @@ def test_falsify_propositional_needs_one_context(runner):
     assert evaluate(model, context, witness["world"], f) is False
 
 
-def test_falsify_over_the_cap_exit_2(runner):
-    result = runner.invoke(main, [
+def test_falsify_over_the_cap_exit_2():
+    result = invoke([
         "falsify", "--formula", "[p](q|r|s|t|u|v)", "--max-worlds", "6",
         "--max-context-len", "5",
     ])
@@ -261,15 +262,15 @@ def test_falsify_over_the_cap_exit_2(runner):
     assert "exceeds the cap" in result.stderr
 
 
-def test_falsify_zero_bounds_exit_2(runner):
+def test_falsify_zero_bounds_exit_2():
     for flag in ("--max-worlds", "--max-context-len"):
-        result = runner.invoke(main, ["falsify", "--formula", "p", flag, "0"])
+        result = invoke(["falsify", "--formula", "p", flag, "0"])
         assert result.exit_code == 2
         assert result.stderr == "error: bounds must be at least 1\n"
         assert "Traceback" not in result.output
 
 
-def test_internal_fault_exit_3(runner, monkeypatch):
+def test_internal_fault_exit_3(monkeypatch):
     # a fault of conwon itself, such as a kernel witness that fails its
     # re-check, is neither a verdict nor an input error
     import conwon.semantics
@@ -278,7 +279,7 @@ def test_internal_fault_exit_3(runner, monkeypatch):
         raise RuntimeError("kernel countermodel to p does not hold up")
 
     monkeypatch.setattr(conwon.semantics, "find_countermodel", broken)
-    result = runner.invoke(main, ["falsify", "--formula", "p", "--max-worlds", "2"])
+    result = invoke(["falsify", "--formula", "p", "--max-worlds", "2"])
     assert result.exit_code == 3
     assert result.stderr == "internal error: RuntimeError: kernel countermodel to p does not hold up\n"
     assert "Traceback" not in result.output
@@ -287,8 +288,8 @@ def test_internal_fault_exit_3(runner, monkeypatch):
 # --- compare-v ------------------------------------------------------------
 
 
-def test_compare_v_agrees(runner):
-    result = runner.invoke(main, [
+def test_compare_v_agrees():
+    result = invoke([
         "compare-v", "--formula", "[p]q", "--max-worlds", "2", "--output", "json",
     ])
     assert result.exit_code == 0
@@ -297,24 +298,24 @@ def test_compare_v_agrees(runner):
     assert all("verified" in c for c in payload["transport_checks"])
 
 
-def test_compare_v_corner_dialect(runner):
-    result = runner.invoke(main, [
+def test_compare_v_corner_dialect():
+    result = invoke([
         "compare-v", "--formula", "p |> q", "--dialect", "v", "--max-worlds", "2",
     ])
     assert result.exit_code == 0
 
 
-def test_compare_v_rejects_nested(runner):
-    result = runner.invoke(main, ["compare-v", "--formula", "[p][q]r"])
+def test_compare_v_rejects_nested():
+    result = invoke(["compare-v", "--formula", "[p][q]r"])
     assert result.exit_code == 2
     assert result.stderr == "error: equivalence harness expects a flat formula\n"
     assert "Traceback" not in result.output
 
 
-def test_deep_nesting_exit_2(runner):
+def test_deep_nesting_exit_2():
     formula = " & ".join(["p"] * 1500)
     for command in (["parse", formula], ["reduce", "--formula", formula]):
-        result = runner.invoke(main, command)
+        result = invoke(command)
         assert result.exit_code == 2, command[0]
         assert result.stderr == "error: formula is nested too deeply\n"
         assert "Traceback" not in result.output
@@ -323,35 +324,35 @@ def test_deep_nesting_exit_2(runner):
 # --- check-proof ----------------------------------------------------------
 
 
-def test_check_proof_accept(runner, tmp_path):
+def test_check_proof_accept(tmp_path):
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(VALID_PROOF))
-    result = runner.invoke(main, ["check-proof", str(path)])
+    result = invoke(["check-proof", str(path)])
     assert result.exit_code == 0
     assert "accepted" in result.output
 
 
-def test_check_proof_reject(runner, tmp_path):
+def test_check_proof_reject(tmp_path):
     bad = {
         "system": "conwon",
         "steps": [{"formula": "[p]q", "by": {"axiom": "conwon.3a"}}],
     }
     path = tmp_path / "proof.json"
     path.write_text(json.dumps(bad))
-    result = runner.invoke(main, ["check-proof", str(path), "--output", "json"])
+    result = invoke(["check-proof", str(path), "--output", "json"])
     assert result.exit_code == 1
     payload = json.loads(result.output)
     assert payload["accepted"] is False
     assert payload["errors"]
 
 
-def test_check_proof_malformed_exit_2(runner, tmp_path):
+def test_check_proof_malformed_exit_2(tmp_path):
     path = tmp_path / "proof.json"
     path.write_text("{not json")
-    result = runner.invoke(main, ["check-proof", str(path)])
+    result = invoke(["check-proof", str(path)])
     assert result.exit_code == 2
     path.write_text(json.dumps({"system": "conwon", "steps": [{"formula": "[p]p", "by": "axiom"}]}))
-    result = runner.invoke(main, ["check-proof", str(path)])
+    result = invoke(["check-proof", str(path)])
     assert result.exit_code == 2
     assert result.stderr == "error: step 1: 'by' must be an object\n"
     assert "Traceback" not in result.output
@@ -361,7 +362,7 @@ def test_check_proof_malformed_exit_2(runner, tmp_path):
          "step 1: 'formula' must be a string"),
     ]:
         path.write_text(json.dumps(proof))
-        result = runner.invoke(main, ["check-proof", str(path)])
+        result = invoke(["check-proof", str(path)])
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
 
@@ -369,13 +370,102 @@ def test_check_proof_malformed_exit_2(runner, tmp_path):
 # --- examples -------------------------------------------------------------
 
 
-def test_examples_run_all(runner):
+def test_examples_run_all():
     expected_codes = {"tiger": 0, "reagan": 1, "nonmono": 1, "fact16": 0, "figure1": 0}
     for name, code in expected_codes.items():
-        result = runner.invoke(main, ["examples", "run", name])
+        result = invoke(["examples", "run", name])
         assert result.exit_code == code, (name, result.output)
 
 
-def test_examples_unknown_name(runner):
-    result = runner.invoke(main, ["examples", "run", "nope"])
+def test_examples_unknown_name():
+    result = invoke(["examples", "run", "nope"])
     assert result.exit_code == 2
+
+
+# --- fuzzing the front end ------------------------------------------------
+
+FUZZ_FILES = {
+    "not_json.json": "{not json",
+    "list.json": "[]",
+    "null.json": "null",
+    "worlds_int.json": {"worlds": 5, "valuation": {}},
+    "valuation_int.json": {"worlds": ["w1"], "valuation": {"p": 3}},
+    "kind.json": {"kind": "nope"},
+    "sequence_unknown_world.json": {"kind": "sequence", "sequence": [["w9"]]},
+    "sequence_int.json": {"kind": "sequence", "sequence": [5]},
+    "defaults_int.json": {"kind": "ordered-set", "defaults": {"D1": 3}, "order": [["D1", "D2"]]},
+    "steps_string.json": {"system": "conwon", "steps": "x"},
+    "rule_refs.json": {"system": "conwon", "steps": [{"formula": "p", "by": {"rule": "MP", "from": [1, 2]}}]},
+    "subst_int.json": {"system": "conwon",
+                       "steps": [{"formula": "[p]p", "by": {"axiom": "conwon.3a", "subst": {"p": 5}}}]},
+    "tiger_model.json": TIGER_MODEL,
+    "tiger_context.json": TIGER_CONTEXT,
+    "valid_proof.json": VALID_PROOF,
+}
+
+FORMULAS = ["p", "a_g", "[p]q", "[a_g]~a_d", "([p]q) -> ([p & ~q]q)", "p |> q", "[p][q]r",
+            "E (p & q)", "p &", "~", ""]
+JUNK = ["w1", "w3", "w9", "0", "-1", "--", "-", "--nope", "@", "tiger"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_text(data if isinstance(data, str) else json.dumps(data))
+    return sorted(str(root / name) for name in FUZZ_FILES) + [str(root / "missing.json"), str(root)]
+
+
+def parser_words(parser):
+    """Every option flag and choice of ``parser`` and its subparsers."""
+    words = set()
+    for action in parser._actions:
+        words.update(action.option_strings)
+        words.update(action.choices or ())
+    for _, sub in subparsers(parser):
+        words.update(parser_words(sub))
+    return sorted(words)
+
+
+def leaves(parser, prefix=()):
+    """(command path, its parser) for every command that runs a handler."""
+    subs = list(subparsers(parser))
+    if not subs:
+        yield list(prefix), parser
+    for name, sub in subs:
+        yield from leaves(sub, (*prefix, name))
+
+
+LEAVES = list(leaves(build_parser()))
+WORDS = parser_words(build_parser())
+
+
+def draw_argv(data, paths):
+    """A command path and most of its own arguments, mostly with fitting
+    values and some with any value, plus up to two loose tokens anywhere."""
+    values = st.sampled_from(FORMULAS + JUNK + paths)
+    fitting = {"formula": FORMULAS, "alpha": FORMULAS, "world": ["w1", "w3", "w9"],
+               "model_path": paths, "context_path": paths, "proof_file": paths}
+    path, parser = data.draw(st.sampled_from(LEAVES))
+    argv = []
+    for action in parser._actions:
+        if action.option_strings == ["-h", "--help"] or not data.draw(st.sampled_from([1, 1, 1, 0])):
+            continue
+        fits = st.sampled_from(action.choices or fitting.get(action.dest) or ["0", "1", "2"])
+        junk = data.draw(st.sampled_from([False] * 5 + [True]))
+        value = [] if action.nargs == 0 else [data.draw(values if junk else fits)]
+        argv += [*action.option_strings[-1:], *value]
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.one_of(values, st.sampled_from(WORDS))))
+    return path + argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_paths, data):
+    argv = draw_argv(data, fuzz_paths)
+    if argv[0] in ("falsify", "compare-v"):  # at most 2 worlds, so that every run stays fast
+        argv += ["--max-worlds", data.draw(st.sampled_from(["0", "1", "2"]))]
+    result = invoke(argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert "Traceback" not in result.output

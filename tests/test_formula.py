@@ -217,6 +217,40 @@ def test_dialect_of():
     assert dialect_of(parse_formula("[p]q")) == "conwon"
     assert dialect_of(parse_formula("p |> q", dialect="v")) == "v"
     assert dialect_of(parse_formula("p & q")) == "conwon"
+    with pytest.raises(ValueError):
+        dialect_of(And(CondBox(p, q), CondCorner(p, q)))
+
+
+def _leaves_and_kinds(f, memo):
+    """Reference for ``atoms`` and ``dialect_of``: atom names and node classes, memoised recursion."""
+    if f not in memo:
+        parts = [_leaves_and_kinds(child, memo) for child in f.children()]
+        names = frozenset([f.name]) if isinstance(f, Atom) else frozenset()
+        memo[f] = (names.union(*(n for n, _ in parts)),
+                   frozenset([type(f)]).union(*(k for _, k in parts)))
+    return memo[f]
+
+
+def test_atoms_and_dialect_on_a_shared_dag():
+    # sigma's output shares subformulas: about 145k printed nodes on a few thousand DAG nodes
+    from conwon.reduction import sigma
+
+    flat = sigma(parse_formula("[p][q][r][s][t][u][v]w"))
+    names, kinds = _leaves_and_kinds(flat, {})
+    assert atoms(flat) == names == frozenset("pqrstuvw")
+    assert CondBox in kinds and CondCorner not in kinds and dialect_of(flat) == "conwon"
+    translated = translate_flat(flat, "v")
+    assert _leaves_and_kinds(translated, {})[1] >= {CondCorner} and dialect_of(translated) == "v"
+
+
+def test_atoms_and_dialect_on_deep_input():
+    f = CondCorner(p, q)
+    for i in range(10_000):
+        f = And(Atom(f"x{i}"), f)
+    assert len(atoms(f)) == 10_002
+    assert dialect_of(f) == "v"
+    with pytest.raises(ValueError):
+        dialect_of(And(f, CondBox(p, q)))
 
 
 # --- interning -------------------------------------------------------------

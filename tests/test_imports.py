@@ -1,4 +1,5 @@
-"""The import graph: each CLI subcommand loads only the modules it uses.
+"""The import graph: each CLI subcommand loads only the modules it uses, and nothing
+outside the standard library.
 
 Every check runs in a fresh interpreter with bytecode caching off, so that
 ``sys.modules`` starts empty and the import cost is what a user pays.
@@ -9,6 +10,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conwon import fixtures
+from conwon.cli import EXAMPLE_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,12 +37,17 @@ PUBLIC_NAMES = [
 def run_fresh(code: str) -> dict:
     """Run ``code`` in a new interpreter; it may set ``result``.
 
-    Returns ``result`` and the ``conwon`` submodules loaded by the end.
+    Returns ``result``, the ``conwon`` submodules loaded by the end, and
+    ``foreign``: the top-level modules ``code`` loaded from outside the
+    standard library and conwon (modules that start-up hooks load before
+    ``code`` runs do not count).
     """
     script = (
-        "import json, sys\nresult = None\n" + code
+        "import json, sys\nbefore = set(sys.modules)\nresult = None\n" + code
         + "\nloaded = sorted(m[7:] for m in sys.modules if m.startswith('conwon.'))"
-        + "\nprint(json.dumps({'result': result, 'loaded': loaded}))\n"
+        + "\nforeign = sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+        + " - set(sys.stdlib_module_names) - {'conwon'})"
+        + "\nprint(json.dumps({'result': result, 'loaded': loaded, 'foreign': foreign}))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
@@ -45,10 +56,10 @@ def run_fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_cli(*argv: str) -> set:
+def run_cli(*argv: str) -> dict:
     code = ("from conwon.cli import main\n"
             f"try:\n    main({list(argv)!r})\nexcept SystemExit:\n    pass")
-    return set(run_fresh(code)["loaded"])
+    return run_fresh(code)
 
 
 def test_import_conwon_loads_no_submodule():
@@ -56,23 +67,32 @@ def test_import_conwon_loads_no_submodule():
 
 
 def test_import_cli_loads_no_library_module():
-    out = run_fresh("from conwon import cli, fixtures\n"
-                    "result = [cli.examples_run.params[0].type.choices, sorted(fixtures.EXAMPLES)]")
-    choices, examples = out["result"]
-    assert choices == examples
-    assert out["loaded"] == ["cli", "errors", "fixtures"]
+    # building the parser needs the example names, but not the fixtures
+    out = run_fresh("from conwon import cli\n"
+                    "result = cli.build_parser().parse_args(['examples', 'run', 'tiger']).name")
+    assert out["result"] == "tiger"
+    assert out["loaded"] == ["cli", "errors"]
+    assert out["foreign"] == []
+    assert list(EXAMPLE_NAMES) == sorted(fixtures.EXAMPLES)
 
 
 def test_parse_loads_only_the_parser():
-    loaded = run_cli("parse", "p")
+    loaded = set(run_cli("parse", "p")["loaded"])
     assert "formula" in loaded
     assert not loaded & {"semantics", "lewis", "proofs", "reduction"}
 
 
 def test_reduce_loads_no_search():
-    loaded = run_cli("reduce", "--formula", "[p][q]r")
+    loaded = set(run_cli("reduce", "--formula", "[p][q]r")["loaded"])
     assert "reduction" in loaded
     assert not loaded & {"semantics", "lewis", "proofs"}
+
+
+@pytest.mark.parametrize("argv", [["parse", "p"], ["reduce", "--formula", "[p][q]r"],
+                                  ["falsify", "--formula", "[p]q", "--max-worlds", "2"]],
+                         ids=lambda argv: argv[0])
+def test_cli_loads_only_the_standard_library(argv):
+    assert run_cli(*argv)["foreign"] == []
 
 
 def test_public_names_resolve_lazily():

@@ -12,7 +12,6 @@ from conwon.lewis import (
     context_to_partition,
     eval_v,
     flat_equivalence_check,
-    iter_pseudo_sphere_models,
     load_pseudo_sphere,
     ordered_partitions,
     partition_to_context,
@@ -21,7 +20,7 @@ from conwon.lewis import (
 )
 from conwon.models import Model, SchemaError
 from conwon.semantics import EvaluationError, SearchBounds, is_valid_up_to
-from conftest import formula_battery
+from conftest import formula_battery, iter_pseudo_sphere_models
 
 
 def pv(text):

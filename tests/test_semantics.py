@@ -39,14 +39,12 @@ from conwon.semantics import (
     find_countermodel,
     is_satisfiable_up_to,
     is_valid_up_to,
-    iter_contexts,
-    iter_models,
     mask_to_worlds,
     satisfying_witness,
     search_points,
     truth_masks_agree,
 )
-from conftest import random_formula, random_prop
+from conftest import iter_contexts, iter_models, random_formula, random_prop
 
 
 def fs(*worlds):
