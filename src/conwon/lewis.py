@@ -16,9 +16,9 @@ witnesses across the transformations for single conditionals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .errors import FrozenRecord, Record
 from .formula import (
     And,
     Atom,
@@ -66,39 +66,35 @@ def _check_strict_order(pairs: OrderPairs, domain: WorldSet, what: str) -> None:
                 raise SchemaError(f"{what}: not almost connected at ({a!r},{b!r}) via {v!r}")
 
 
-@dataclass(frozen=True)
-class RelationalModelV:
+class RelationalModelV(FrozenRecord):
     """Per-world frames: gamma[w] = (W_w, <_w)."""
 
-    model: Model
-    gamma: Mapping[str, Tuple[WorldSet, OrderPairs]]
+    __slots__ = ("model", "gamma")
 
-    def __post_init__(self):
-        gamma = {}
-        for w in self.model.worlds:
-            if w not in self.gamma:
+    def __init__(self, model: Model, gamma: Mapping[str, Tuple[WorldSet, OrderPairs]]):
+        frames = {}
+        for w in model.worlds:
+            if w not in gamma:
                 raise SchemaError(f"no frame for world {w!r}")
-            domain, pairs = self.gamma[w]
+            domain, pairs = gamma[w]
             domain = frozenset(domain)
             pairs = frozenset(pairs)
-            if not domain <= self.model.world_set:
+            if not domain <= model.world_set:
                 raise SchemaError(f"frame of {w!r} leaves the world set")
             _check_strict_order(pairs, domain, f"order at {w!r}")
-            gamma[w] = (domain, pairs)
-        object.__setattr__(self, "gamma", gamma)
+            frames[w] = (domain, pairs)
+        self._assign(model, frames)
 
 
-@dataclass(frozen=True)
-class UniversalRelationalModelV:
+class UniversalRelationalModelV(FrozenRecord):
     """One global strict order on all worlds; finiteness gives well-foundedness."""
 
-    model: Model
-    order: OrderPairs
+    __slots__ = ("model", "order")
 
-    def __post_init__(self):
-        pairs = frozenset(self.order)
-        _check_strict_order(pairs, self.model.world_set, "global order")
-        object.__setattr__(self, "order", pairs)
+    def __init__(self, model: Model, order: OrderPairs):
+        pairs = frozenset(order)
+        _check_strict_order(pairs, model.world_set, "global order")
+        self._assign(model, pairs)
 
 
 def _check_blocks(blocks: Sequence[WorldSet], world_set: WorldSet, allow_empty: bool) -> Tuple[WorldSet, ...]:
@@ -115,26 +111,22 @@ def _check_blocks(blocks: Sequence[WorldSet], world_set: WorldSet, allow_empty: 
     return blocks
 
 
-@dataclass(frozen=True)
-class SphereModelV:
+class SphereModelV(FrozenRecord):
     """Ordered partition into nonempty blocks; index 0 is the least block."""
 
-    model: Model
-    blocks: Tuple[WorldSet, ...]
+    __slots__ = ("model", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _check_blocks(self.blocks, self.model.world_set, False))
+    def __init__(self, model: Model, blocks: Sequence[WorldSet]):
+        self._assign(model, _check_blocks(blocks, model.world_set, False))
 
 
-@dataclass(frozen=True)
-class PseudoSphereModelV:
+class PseudoSphereModelV(FrozenRecord):
     """Ordered partition allowing empty blocks; index 0 is the least block."""
 
-    model: Model
-    spheres: Tuple[WorldSet, ...]
+    __slots__ = ("model", "spheres")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spheres", _check_blocks(self.spheres, self.model.world_set, True))
+    def __init__(self, model: Model, spheres: Sequence[WorldSet]):
+        self._assign(model, _check_blocks(spheres, model.world_set, True))
 
     def to_json(self) -> dict:
         data = self.model.to_json()
@@ -335,14 +327,16 @@ def v_witness(f: Formula, witness: Optional[ContextualizedPointedModel]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EquivalenceReport:
-    formula: str
-    conwon_satisfiable: bool
-    v_satisfiable: bool
-    conwon_witness: Optional[ContextualizedPointedModel] = None
-    v_witness: Optional[Tuple[PseudoSphereModelV, str]] = None
-    transport_checks: List[str] = field(default_factory=list)
+class EquivalenceReport(Record):
+    __slots__ = ("formula", "conwon_satisfiable", "v_satisfiable", "conwon_witness", "v_witness",
+                 "transport_checks")
+
+    def __init__(self, formula: str, conwon_satisfiable: bool, v_satisfiable: bool,
+                 conwon_witness: Optional[ContextualizedPointedModel] = None,
+                 v_witness: Optional[Tuple[PseudoSphereModelV, str]] = None,
+                 transport_checks: Optional[List[str]] = None):
+        self._assign(formula, conwon_satisfiable, v_satisfiable, conwon_witness, v_witness,
+                     [] if transport_checks is None else transport_checks)
 
     @property
     def agrees(self) -> bool:

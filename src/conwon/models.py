@@ -16,11 +16,10 @@ lexicographically for reproducibility.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple, Union
 
-from .errors import InputError
+from .errors import FrozenRecord, InputError, read_text
 
 WorldSet = FrozenSet[str]
 
@@ -33,30 +32,29 @@ def _world_set(worlds: Iterable[str]) -> WorldSet:
     return frozenset(worlds)
 
 
-@dataclass(frozen=True)
-class Model:
-    worlds: Tuple[str, ...]
-    valuation: Mapping[str, WorldSet]
+class Model(FrozenRecord):
+    """A world set and a valuation; ``world_set`` is the worlds as a frozenset."""
 
-    def __post_init__(self):
-        if not self.worlds:
+    __slots__ = ("worlds", "valuation", "_world_set")
+
+    def __init__(self, worlds: Tuple[str, ...], valuation: Mapping[str, WorldSet]):
+        if not worlds:
             raise SchemaError("world set must be nonempty")
-        if len(set(self.worlds)) != len(self.worlds):
+        wset = _world_set(worlds)
+        if len(wset) != len(worlds):
             raise SchemaError("duplicate world identifier")
-        object.__setattr__(self, "worlds", tuple(sorted(self.worlds)))
         val = {}
-        wset = set(self.worlds)
-        for atom, extent in self.valuation.items():
+        for atom, extent in valuation.items():
             extent = _world_set(extent)
             unknown = extent - wset
             if unknown:
                 raise SchemaError(f"valuation of {atom!r} mentions unknown worlds {sorted(unknown)}")
             val[atom] = extent
-        object.__setattr__(self, "valuation", val)
+        self._assign(tuple(sorted(worlds)), val, wset)
 
     @property
     def world_set(self) -> WorldSet:
-        return frozenset(self.worlds)
+        return self._world_set
 
     def extent(self, atom: str) -> WorldSet:
         return self.valuation.get(atom, frozenset())
@@ -80,8 +78,7 @@ def _transitive_closure(pairs: Iterable[Tuple[str, str]]) -> FrozenSet[Tuple[str
     return frozenset((a, b) for a, targets in succ.items() for b in targets)
 
 
-@dataclass(frozen=True)
-class OrderedDefaultSet:
+class OrderedDefaultSet(FrozenRecord):
     """Named defaults with a strict partial priority order.
 
     ``order`` may be any finite relation; the constructor takes its
@@ -90,24 +87,22 @@ class OrderedDefaultSet:
     identified extensionally by the update operation.
     """
 
-    defaults: Mapping[str, WorldSet]
-    order: FrozenSet[Tuple[str, str]] = field(default_factory=frozenset)
+    __slots__ = ("defaults", "order")
 
-    def __post_init__(self):
-        defaults = {name: _world_set(ws) for name, ws in self.defaults.items()}
+    def __init__(self, defaults: Mapping[str, WorldSet], order: Iterable[Tuple[str, str]] = frozenset()):
+        defaults = {name: _world_set(ws) for name, ws in defaults.items()}
         extents = list(defaults.values())
         if len(set(extents)) != len(extents):
             raise SchemaError("two default names denote the same world set")
-        for (hi, lo) in self.order:
+        for (hi, lo) in order:
             for name in (hi, lo):
                 if name not in defaults:
                     raise SchemaError(f"priority mentions unknown default {name!r}")
-        closure = _transitive_closure(self.order)
+        closure = _transitive_closure(order)
         for (a, b) in closure:
             if a == b:
                 raise SchemaError(f"priority on {a!r} violates irreflexivity")
-        object.__setattr__(self, "defaults", defaults)
-        object.__setattr__(self, "order", closure)
+        self._assign(defaults, closure)
 
     def check_against(self, model: Model) -> None:
         for name, extent in self.defaults.items():
@@ -129,17 +124,16 @@ class OrderedDefaultSet:
 Hierarchy = Tuple[FrozenSet[str], ...]
 
 
-@dataclass(frozen=True)
-class SequenceContext:
+class SequenceContext(FrozenRecord):
     """Nonempty sequence of defaults; index 0 has highest priority."""
 
-    sequence: Tuple[WorldSet, ...]
+    __slots__ = ("sequence",)
 
-    def __post_init__(self):
-        seq = tuple(_world_set(ws) for ws in self.sequence)
+    def __init__(self, sequence: Iterable[Iterable[str]]):
+        seq = tuple(_world_set(ws) for ws in sequence)
         if not seq:
             raise SchemaError("sequence context must be nonempty")
-        object.__setattr__(self, "sequence", seq)
+        self._assign(seq)
 
     def check_against(self, model: Model) -> None:
         for i, extent in enumerate(self.sequence):
@@ -225,7 +219,7 @@ def update(context: Context, extent: Iterable[str], name: str = None) -> Context
     """
     extent = _world_set(extent)
     if isinstance(context, SequenceContext):
-        prepended = object.__new__(SequenceContext)  # entries are frozensets: skip __post_init__
+        prepended = object.__new__(SequenceContext)  # entries are frozensets: skip __init__
         object.__setattr__(prepended, "sequence", (extent,) + context.sequence)
         return prepended
     if name is None:
@@ -255,8 +249,7 @@ def core(context: SequenceContext) -> SequenceContext:
 
 def _load_json(source) -> dict:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(source))
     else:
         data = source
     if not isinstance(data, dict):

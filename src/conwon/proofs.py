@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import FrozenRecord, InputError, Record, read_text
 from .formula import (
     And,
     Atom,
@@ -43,11 +42,11 @@ class ProofError(InputError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schema:
-    identifier: str
-    template: Formula
-    conditions: Mapping[str, str]  # metavariable -> "propositional" | "closed"
+class Schema(FrozenRecord):
+    __slots__ = ("identifier", "template", "conditions")  # metavariable -> "propositional" | "closed"
+
+    def __init__(self, identifier: str, template: Formula, conditions: Mapping[str, str]):
+        self._assign(identifier, template, conditions)
 
 
 def _schema(identifier: str, text: str, dialect: str, **conditions: str) -> Schema:
@@ -188,17 +187,18 @@ def is_tautology(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    formula: Formula
-    by: Mapping  # {"axiom": id, "subst": {...}} or {"rule": name, "from": [...]}
+class ProofStep(FrozenRecord):
+    __slots__ = ("formula", "by")  # by: {"axiom": id, "subst": {...}} or {"rule": name, "from": [...]}
+
+    def __init__(self, formula: Formula, by: Mapping):
+        self._assign(formula, by)
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    system: str
-    errors: List[str] = field(default_factory=list)
+class Verdict(Record):
+    __slots__ = ("ok", "system", "errors")
+
+    def __init__(self, ok: bool, system: str, errors: Optional[List[str]] = None):
+        self._assign(ok, system, [] if errors is None else errors)
 
     @property
     def message(self) -> str:
@@ -344,8 +344,7 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
 
 def load_proof(source) -> Tuple[str, List[ProofStep]]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(source))
     else:
         data = source
     if not isinstance(data, dict) or "steps" not in data:
@@ -397,11 +396,11 @@ _WIDE_POOL = _PROP_POOL + ("[p]q",)
 _CLOSED_POOL = ("[p]q", "~[p]q", "E p")
 
 
-@dataclass
-class SweepReport:
-    system: str
-    instances: int = 0
-    failures: List[str] = field(default_factory=list)
+class SweepReport(Record):
+    __slots__ = ("system", "instances", "failures")
+
+    def __init__(self, system: str, instances: int = 0, failures: Optional[List[str]] = None):
+        self._assign(system, instances, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

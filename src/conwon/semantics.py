@@ -54,11 +54,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import FrozenRecord, InputError, Record
 from .formula import (
     And,
     Atom,
@@ -84,16 +83,14 @@ class EvaluationError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class ContextualizedPointedModel:
-    model: Model
-    context: Context
-    world: str
+class ContextualizedPointedModel(FrozenRecord):
+    __slots__ = ("model", "context", "world")
 
-    def __post_init__(self):
-        if self.world not in self.model.world_set:
-            raise EvaluationError(f"unknown world {self.world!r}")
-        self.context.check_against(self.model)
+    def __init__(self, model: Model, context: Context, world: str):
+        if world not in model.world_set:
+            raise EvaluationError(f"unknown world {world!r}")
+        context.check_against(model)
+        self._assign(model, context, world)
 
     def to_json(self) -> dict:
         return {
@@ -108,16 +105,16 @@ class ContextualizedPointedModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConditionalStep:
+class ConditionalStep(Record):
     """One conditional evaluation: what was generated, updated, expected."""
 
-    antecedent: str
-    generated: FrozenSet[str]
-    levels: Optional[Tuple[Tuple[str, ...], ...]]  # set-form hierarchy by names
-    sequence: Optional[Tuple[FrozenSet[str], ...]]
-    expected: FrozenSet[str]
-    verdicts: Dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("antecedent", "generated", "levels", "sequence", "expected", "verdicts")
+
+    def __init__(self, antecedent: str, generated: FrozenSet[str],
+                 levels: Optional[Tuple[Tuple[str, ...], ...]],  # set-form hierarchy by names
+                 sequence: Optional[Tuple[FrozenSet[str], ...]], expected: FrozenSet[str],
+                 verdicts: Optional[Dict[str, bool]] = None):
+        self._assign(antecedent, generated, levels, sequence, expected, {} if verdicts is None else verdicts)
 
     def to_json(self) -> dict:
         """The step as traces print it in JSON; ``verdicts`` is left out."""
@@ -456,15 +453,13 @@ def mask_to_worlds(mask: int, worlds: Tuple[str, ...]) -> FrozenSet[str]:
     return frozenset(w for i, w in enumerate(worlds) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_worlds: int
-    max_context_len: int
-    max_enumeration: int = 50_000_000
+class SearchBounds(FrozenRecord):
+    __slots__ = ("max_worlds", "max_context_len", "max_enumeration")
 
-    def __post_init__(self):
-        if self.max_worlds < 1 or self.max_context_len < 1:
+    def __init__(self, max_worlds: int, max_context_len: int, max_enumeration: int = 50_000_000):
+        if max_worlds < 1 or max_context_len < 1:
             raise EvaluationError("bounds must be at least 1")
+        self._assign(max_worlds, max_context_len, max_enumeration)
 
 
 def search_points(

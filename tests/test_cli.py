@@ -367,6 +367,19 @@ def test_check_proof_malformed_exit_2(tmp_path):
         assert result.stderr == f"error: {message}\n"
 
 
+def test_non_utf8_input_exit_2(tiger_files, tmp_path):
+    model, context = tiger_files
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe")
+    for argv in (["expected", "--model", str(binary), "--context", context],
+                 ["eval", "--model", model, "--context", str(binary), "--world", "w1", "--formula", "p"],
+                 ["check-proof", str(binary)]):
+        result = invoke(argv)
+        assert result.exit_code == 2, (argv, result.output)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {binary}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 # --- examples -------------------------------------------------------------
 
 
@@ -413,7 +426,9 @@ def fuzz_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     for name, data in FUZZ_FILES.items():
         (root / name).write_text(data if isinstance(data, str) else json.dumps(data))
-    return sorted(str(root / name) for name in FUZZ_FILES) + [str(root / "missing.json"), str(root)]
+    (root / "not_utf8.json").write_bytes(b'{"worlds": ["w\xe9"]}')
+    return (sorted(str(root / name) for name in FUZZ_FILES)
+            + [str(root / "not_utf8.json"), str(root / "missing.json"), str(root)])
 
 
 def parser_words(parser):

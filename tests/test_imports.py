@@ -88,6 +88,40 @@ def test_reduce_loads_no_search():
     assert not loaded & {"semantics", "lewis", "proofs"}
 
 
+def test_cli_batch_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """perfbench's ``cli`` batch, run in one fresh interpreter: each subcommand is
+    checked after it returns, so the first one to load either module is named."""
+    files = {"model": fixtures.TIGER_MODEL, "oset": fixtures.TIGER_CONTEXT,
+             "seq": {"kind": "sequence", "sequence": [["w1", "w3"], ["w3"]]},
+             "valid": fixtures.VALID_PROOF, "invalid": fixtures.INVALID_PROOFS["nonprop-gamma"][0]}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    model, seq, oset, valid, invalid = (str(tmp_path / f"{name}.json")
+                                        for name in ("model", "seq", "oset", "valid", "invalid"))
+    batch = [
+        ["eval", "--model", model, "--context", seq, "--world", "w1", "--formula", "[a_t]f_t"],
+        ["eval", "--model", model, "--context", oset, "--world", "w1", "--formula", "[a_g]f_d", "--trace"],
+        ["expected", "--model", model, "--context", oset],
+        ["update", "--model", model, "--context", seq, "--alpha", "a_t | ~a_t"],
+        ["falsify", "--formula", "E (p & q) -> [p][q](p & q)", "--max-worlds", "2"],
+        ["falsify", "--formula", "[p]q -> [p & ~q]q", "--max-worlds", "2"],
+        ["compare-v", "--formula", "[p]q", "--max-worlds", "2"],
+        ["check-proof", valid],
+        ["check-proof", invalid],
+    ] + [["examples", "run", name] for name in EXAMPLE_NAMES]
+    code = ("import io, contextlib\nfrom conwon.cli import main\nresult = []\n"
+            f"for argv in {batch!r}:\n"
+            "    code = 0\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n            main(argv)\n"
+            "        except SystemExit as exc:\n            code = exc.code\n"
+            "    result.append([argv[0], code, [m for m in ('dataclasses', 'inspect') if m in sys.modules]])")
+    result = run_fresh(code)["result"]
+    assert [command for command, code, _ in result] == [argv[0] for argv in batch]
+    assert all(code in (0, 1) for _, code, _ in result), result
+    assert [loaded for _, _, loaded in result] == [[]] * len(batch), result
+
+
 @pytest.mark.parametrize("argv", [["parse", "p"], ["reduce", "--formula", "[p][q]r"],
                                   ["falsify", "--formula", "[p]q", "--max-worlds", "2"]],
                          ids=lambda argv: argv[0])
