@@ -31,7 +31,7 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, OSError, json.JSONDecodeError) as exc:
+        except (InputError, OSError) as exc:
             _fail(str(exc))
         except RecursionError:
             _fail("formula is nested too deeply")

@@ -24,6 +24,19 @@ def read_text(path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def read_json(path, error) -> dict:
+    """The JSON object in a UTF-8 file; malformed JSON or another value is ``error``, naming the file."""
+    import json  # only the file loaders need it
+
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object")
+    return data
+
+
 class Record:
     """A small value class with its fields in ``__slots__``."""
 

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Mapping, Set, Tuple, Union
 
-from .errors import FrozenRecord, InputError, read_text
+from .errors import FrozenRecord, InputError, read_json
 
 WorldSet = FrozenSet[str]
 
@@ -249,12 +249,10 @@ def core(context: SequenceContext) -> SequenceContext:
 
 def _load_json(source) -> dict:
     if isinstance(source, (str, Path)):
-        data = json.loads(read_text(source))
-    else:
-        data = source
-    if not isinstance(data, dict):
+        return read_json(source, SchemaError)
+    if not isinstance(source, dict):
         raise SchemaError("expected a JSON object")
-    return data
+    return source
 
 
 def _string_list(value, what: str) -> list:

@@ -13,11 +13,10 @@ must be flat.
 from __future__ import annotations
 
 import itertools
-import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import FrozenRecord, InputError, Record, read_text
+from .errors import FrozenRecord, InputError, Record, read_json
 from .formula import (
     And,
     Atom,
@@ -343,10 +342,7 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
 
 
 def load_proof(source) -> Tuple[str, List[ProofStep]]:
-    if isinstance(source, (str, Path)):
-        data = json.loads(read_text(source))
-    else:
-        data = source
+    data = read_json(source, ProofError) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict) or "steps" not in data:
         raise ProofError("proof file needs 'system' and 'steps'")
     system = data.get("system")

@@ -43,6 +43,23 @@ chains' tables; those are smaller nodes, so the recursion ends even where
 chains cycle.  The expected set of a is the last nonempty a & S_j.  In a
 flat formula every consequent is propositional: one pass per chain.
 
+Valuations side by side.  The valuations of one |W| = n share their
+chains, so a block of them runs as one valuation (bit-slicing, Knuth,
+TAOCP 4A, 7.1.3): segment s of every mask holds worlds s*n ... s*n+n-1
+of the s-th, and a chain entry S enters as S * low, low the lowest bit
+of each segment.  ``~`` and ``&`` act world by world, so on each segment
+alone.  A conditional takes its expected set per segment: x = a & S_j
+replaces the running set in the segments where x is nonempty, and it
+holds in a segment iff that set misses no consequent world there.  A
+box's updated chain, :func:`update_chain` of the packed entries, drops a
+repeat or stops at an empty entry only when every segment agrees, so a
+segment may keep a repeat, a leading W or an empty tail; read in one
+segment it is still a decreasing sequence with that segment's updated
+chain as normal form, and none of those entries changes a last nonempty
+a & S_j.  By induction each segment's masks are its valuation's alone.
+The order stays |W|, valuation, chain: a block gives each query its
+lowest segment that any chain picks, at the first chain that picks it.
+
 Many queries, one search.  A query's points (|W| up to 2^k, valuations of
 its k atoms, chains up to its context bound) depend only on its atoms and
 on whether it has conditionals, so queries alike in both walk the same
@@ -209,18 +226,10 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 
 Chain = Tuple[int, ...]
 
-
-def e_mask(chain: Tuple[int, ...]) -> int:
-    """Expected states of a sequence context given as bitmasks."""
-    current = chain[0]
-    if not current:
-        return 0
-    for entry in chain[1:]:
-        narrowed = current & entry
-        if not narrowed:
-            break
-        current = narrowed
-    return current
+# Most bits a block of valuations packs into one mask (at least one
+# valuation).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
+# bytes plus an int's header; a block keeps one table per chain it meets.
+BLOCK_BITS = 512
 
 
 def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
@@ -241,14 +250,6 @@ def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
             entries.append(narrowed)
             current = narrowed
     return tuple(entries)
-
-
-def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
-    """Chain normal form of a sequence context given as bitmasks."""
-    chain: Chain = ()
-    for entry in reversed(context):
-        chain = update_chain(entry, chain, (1 << n_worlds) - 1)
-    return chain
 
 
 class CompiledFormula:
@@ -354,19 +355,31 @@ class CompiledFormula:
 
 
 class ModelEvaluator:
-    """Evaluates compiled formulas on one bitmask model.
+    """Evaluates compiled formulas on valuations of one |W| = n, side by side.
 
-    ``truth_mask(node, chain)`` returns the set of worlds (as a bitmask)
-    satisfying the node under contexts with that chain, from one table per
-    chain shared by every root; a miss runs ``node``'s plan at the chain.
-    ``[a]phi`` checks phi at the expected set of a under the updated chain,
-    ``phi |> psi`` checks psi at the expected set of phi under the same
-    chain; both are world-independent: the full mask or 0.
+    ``valuation`` maps atoms to bitmasks over ``segments`` segments of n
+    bits, segment s holding worlds s*n ... s*n+n-1 of the s-th valuation;
+    a chain comes with each entry S replicated as ``S * low`` (itself for
+    one segment).  ``truth_mask(node, chain)`` returns the set of worlds,
+    in every segment, satisfying the node under contexts with that chain,
+    from one table per chain shared by every root; a miss runs ``node``'s
+    plan at the chain.  ``[a]phi`` checks phi at the expected set of a
+    under the updated chain, ``phi |> psi`` checks psi at the expected
+    set of phi under the same chain; both are world-independent: all of
+    a segment or none of it.
     """
 
-    def __init__(self, compiled: CompiledFormula, n_worlds: int, valuation: Dict[str, int]):
+    def __init__(self, compiled: CompiledFormula, n_worlds: int, valuation: Dict[str, int],
+                 segments: int = 1):
         self.compiled = compiled
-        self.full = full = (1 << n_worlds) - 1
+        self.full = full = (1 << n_worlds * segments) - 1
+        ones, shift = (1 << n_worlds) - 1, n_worlds - 1
+        self.low = full // ones
+        high = self.low << shift  # the top bit of each segment
+        rest = full ^ high
+        # fills each segment where x is nonempty: adding rest carries any of its
+        # lower bits into the segment's top bit, and never past it
+        self.spread = lambda x: ((((x & rest) + rest | x) & high) >> shift) * ones
         self.prop = prop = [None] * len(compiled.nodes)  # a mask per propositional node
         self.tables: Dict[Chain, List[Optional[int]]] = defaultdict(prop.copy)  # a table per chain
         for i, op, a, b in compiled.prop_plan:
@@ -391,7 +404,7 @@ class ModelEvaluator:
 
     def _run(self, node: int, chain: Chain, values: List[Optional[int]]) -> None:
         """Fill ``node``'s plan into ``values``, the table of ``chain``; box consequents into theirs."""
-        full, tables = self.full, self.tables
+        full, spread, tables, one = self.full, self.spread, self.tables, self.low == 1
         for i, op, a, na, b, nb in self.compiled.plan(node):
             if values[i] is not None:
                 continue
@@ -401,19 +414,23 @@ class ModelEvaluator:
             alpha = (values[a] ^ na) & full
             if not alpha:
                 values[i] = full
-            elif op == "corner":
-                exp = alpha
-                for s in chain:
-                    if not alpha & s:
-                        break
-                    exp = alpha & s
-                values[i] = 0 if exp & ~(values[b] ^ nb) else full
+                continue
+            exp = alpha  # in each segment, the last nonempty alpha & S_j
+            for s in chain:
+                x = alpha & s
+                if not x:
+                    break
+                exp = x if one else x | exp & ~spread(x)  # one segment: x is nonempty there
+            if op == "corner":
+                consequent = values[b] ^ nb
             else:
                 updated = update_chain(alpha, chain, full)
                 table = tables[updated]
                 if table[b] is None:
                     self._run(b, updated, table)
-                values[i] = 0 if (updated[-1] if updated else full) & ~(table[b] ^ nb) else full
+                consequent = table[b] ^ nb
+            bad = exp & ~consequent  # segments where the box fails
+            values[i] = full ^ spread(bad) if bad else full
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +491,13 @@ def search_points(
     2^k types), canonical valuations and chains of length <= the context
     bound (only the empty chain without conditionals), for each group of
     queries with the same atoms and context bound in turn; a query leaves
-    its group at its first pick.  ``select(masks, full)`` maps the
-    query's truth masks to the worlds to report (the lowest is); the chain
-    is the witness context, (W) if empty.  Raises EvaluationError when a
-    group's (valuation, chain) pairs exceed ``bounds.max_enumeration``.
+    its group after the block of valuations that holds its first pick.
+    ``select(masks, full)`` maps the query's truth masks to the worlds to
+    report (the lowest is); the chain is the witness context, (W) if
+    empty.  ``select`` must act world by world, each bit of its result
+    read off the same bit of the masks and of ``full``: it runs on a block
+    of valuations side by side.  Raises EvaluationError when a group's
+    (valuation, chain) pairs exceed ``bounds.max_enumeration``.
     """
     groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
     for k, roots in enumerate(queries):
@@ -496,35 +516,50 @@ def search_points(
     found: List[Optional[ContextualizedPointedModel]] = [None] * len(queries)
     for (names, max_len), active in groups.items():
         for n, valuation, ev, candidates in _valuations(compiled, names, max_len, bounds.max_worlds):
-            truth_mask, full = ev.truth_mask, ev.full
+            truth_mask, full, low = ev.truth_mask, ev.full, ev.low
+            limits, picks = dict.fromkeys(active, full), {}  # of each query: the segments before its pick
             for chain in candidates:
-                for k in active:
+                packed = chain if low == 1 else tuple(s * low for s in chain)  # one segment: no new key
+                for k, limit in tuple(limits.items()):
                     roots = queries[k]  # one root, the common case, costs no comprehension
-                    masks = ([truth_mask(roots[0], chain)] if len(roots) == 1
-                             else [truth_mask(r, chain) for r in roots])
-                    picked = select(masks, full)
-                    if picked:  # k leaves its group; this pass goes on over the old list
-                        worlds = tuple(f"w{i + 1}" for i in range(n))
-                        model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
-                        context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
-                        world = worlds[(picked & -picked).bit_length() - 1]
-                        found[k] = ContextualizedPointedModel(model, SequenceContext(context), world)
-                        active = [j for j in active if j != k]
-                if not active:
+                    masks = ([truth_mask(roots[0], packed)] if len(roots) == 1
+                             else [truth_mask(r, packed) for r in roots])
+                    picked = select(masks, full) & limit
+                    if picked:  # a later chain may still pick an earlier segment
+                        segment, world = divmod((picked & -picked).bit_length() - 1, n)
+                        picks[k] = segment, world, chain
+                        if segment:
+                            limits[k] = (1 << segment * n) - 1
+                        else:
+                            del limits[k]
+                if not limits:
                     break
+            worlds = tuple(f"w{i + 1}" for i in range(n))
+            for k, (segment, world, chain) in picks.items():  # k leaves its group
+                shift = segment * n
+                model = Model(worlds, {a: mask_to_worlds(m >> shift, worlds) for a, m in valuation.items()})
+                context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
+                found[k] = ContextualizedPointedModel(model, SequenceContext(context), worlds[world])
+            active = [k for k in active if k not in picks]
             if not active:
                 break
     return found
 
 
 def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
-    """(|W|, valuation, its evaluator, the chains to try) in search order, a valuation per type set."""
+    """(|W|, valuations, their evaluator, the chains to try) in search order, blocks of type sets.
+
+    A block packs up to ``BLOCK_BITS // |W|`` consecutive type sets of one
+    |W|, segment s of each atom's mask holding the s-th.
+    """
     for n in range(1, min(max_worlds, 1 << len(names)) + 1):
         candidates = chains(n, min(max_len, n - 1))
-        for types in itertools.combinations(range(1 << len(names)), n):
-            valuation = {a: sum(1 << w for w, t in enumerate(types) if t >> i & 1)
+        combinations = itertools.combinations(range(1 << len(names)), n)
+        while block := tuple(itertools.islice(combinations, max(1, BLOCK_BITS // n))):
+            valuation = {a: sum(1 << s * n + w for s, types in enumerate(block)
+                                for w, t in enumerate(types) if t >> i & 1)
                          for i, a in enumerate(names)}
-            yield n, valuation, ModelEvaluator(compiled, n, valuation), candidates
+            yield n, valuation, ModelEvaluator(compiled, n, valuation, len(block)), candidates
 
 
 def falsified(masks: List[int], full: int) -> int:

@@ -2,8 +2,10 @@
 
 Random formula generation is deterministic (callers pass a seeded
 ``random.Random``) so failures reproduce. The exhaustive model and
-context enumerators serve only as brute-force references, and
-:func:`invoke` runs the CLI in this process.
+context enumerators, and the bitmask forms of the expected set
+(:func:`e_mask`) and of a context's chain (:func:`context_chain`), serve
+only as brute-force references, and :func:`invoke` runs the CLI in this
+process.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from conwon.formula import (
 )
 from conwon.lewis import PseudoSphereModelV
 from conwon.models import Model
+from conwon.semantics import Chain, update_chain
 
 
 def random_prop(rng: random.Random, atom_names, depth: int) -> Formula:
@@ -93,6 +96,27 @@ def iter_contexts(n_worlds: int, max_len: int):
     subsets = range(1 << n_worlds)
     for length in range(1, max_len + 1):
         yield from itertools.permutations(subsets, length)
+
+
+def e_mask(chain: Tuple[int, ...]) -> int:
+    """Expected states of a sequence context given as bitmasks."""
+    current = chain[0]
+    if not current:
+        return 0
+    for entry in chain[1:]:
+        narrowed = current & entry
+        if not narrowed:
+            break
+        current = narrowed
+    return current
+
+
+def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
+    """Chain normal form of a sequence context given as bitmasks."""
+    chain: Chain = ()
+    for entry in reversed(context):
+        chain = update_chain(entry, chain, (1 << n_worlds) - 1)
+    return chain
 
 
 def canonical_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str], ...]]:

@@ -35,13 +35,12 @@ from conwon.proofs import check_proof, load_proof, soundness_sweep
 from conwon.reduction import sigma
 from conwon.semantics import (
     SearchBounds,
-    e_mask,
     evaluate,
     find_countermodel,
     is_valid_up_to,
     truth_masks_agree,
 )
-from conftest import formula_battery, invoke, iter_contexts, random_formula
+from conftest import e_mask, formula_battery, invoke, iter_contexts, random_formula
 
 
 @pytest.fixture

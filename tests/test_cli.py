@@ -380,6 +380,27 @@ def test_non_utf8_input_exit_2(tiger_files, tmp_path):
         assert result.stderr == f"error: {binary}: not UTF-8 text (invalid start byte at byte 0)\n"
 
 
+def test_malformed_json_names_its_file(tiger_files, tmp_path):
+    # with two file options the message says which file is at fault
+    model, context = tiger_files
+    broken, listed = tmp_path / "broken.json", tmp_path / "listed.json"
+    broken.write_text("{nope")
+    listed.write_text("[]")
+    decode = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    for argv, message in (
+            (["expected", "--model", str(broken), "--context", context], f"{broken}: {decode}"),
+            (["expected", "--model", model, "--context", str(broken)], f"{broken}: {decode}"),
+            (["expected", "--model", str(listed), "--context", context], f"{listed}: expected a JSON object"),
+            (["eval", "--model", model, "--context", str(listed), "--world", "w1", "--formula", "p"],
+             f"{listed}: expected a JSON object"),
+            (["check-proof", str(broken)], f"{broken}: {decode}"),
+            (["check-proof", str(listed)], f"{listed}: expected a JSON object")):
+        result = invoke(argv)
+        assert result.exit_code == 2, (argv, result.output)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n", argv
+
+
 # --- examples -------------------------------------------------------------
 
 
@@ -481,6 +502,35 @@ def test_cli_fuzz_exits_cleanly(fuzz_paths, data):
     argv = draw_argv(data, fuzz_paths)
     if argv[0] in ("falsify", "compare-v"):  # at most 2 worlds, so that every run stays fast
         argv += ["--max-worlds", data.draw(st.sampled_from(["0", "1", "2"]))]
+    result = invoke(argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert "Traceback" not in result.output
+
+
+def draw_wellformed_argv(data, paths):
+    """A command path with each required argument and nothing else: values
+    the parser accepts and formulas that parse, so that the handler runs and
+    its loaders read whichever of ``paths`` is drawn (the well-formed file
+    of each option a third of the time, so that verdicts are reached too)."""
+    fitting = {"formula": FORMULAS[:5], "alpha": ["p", "a_g", "~a_d", "p & q"], "world": ["w1", "w3", "w9"]}
+    for dest, name in (("model_path", "tiger_model.json"), ("context_path", "tiger_context.json"),
+                       ("proof_file", "valid_proof.json")):
+        fitting[dest] = paths + [p for p in paths if p.endswith(name)] * (len(paths) // 2)
+    path, parser = data.draw(st.sampled_from(LEAVES))
+    argv = []
+    for action in parser._actions:
+        if action.required:
+            value = data.draw(st.sampled_from(action.choices or fitting[action.dest]))
+            argv += [*action.option_strings[-1:], value]
+    if path[0] in ("falsify", "compare-v"):  # at most 2 worlds, so that every run stays fast
+        argv += ["--max-worlds", data.draw(st.sampled_from(["1", "2"]))]
+    return path + argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_wellformed_exits_cleanly(fuzz_paths, data):
+    argv = draw_wellformed_argv(data, fuzz_paths)
     result = invoke(argv)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
     assert "Traceback" not in result.output

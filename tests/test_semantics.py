@@ -23,6 +23,7 @@ from conwon.models import (
     theta,
     update,
 )
+from conwon import semantics
 from conwon.semantics import (
     CompiledFormula,
     ContextualizedPointedModel,
@@ -31,7 +32,6 @@ from conwon.semantics import (
     SearchBounds,
     chain_count,
     chains,
-    context_chain,
     eval_cpm,
     evaluate,
     extension,
@@ -43,8 +43,9 @@ from conwon.semantics import (
     satisfying_witness,
     search_points,
     truth_masks_agree,
+    _valuations,
 )
-from conftest import iter_contexts, iter_models, random_formula, random_prop
+from conftest import context_chain, iter_contexts, iter_models, random_formula, random_prop
 
 
 def fs(*worlds):
@@ -360,6 +361,83 @@ def test_batched_search_matches_single_searches():
             assert (batched is None) == (single is None), render(f)
             if batched is not None:
                 assert (batched[0].to_json(), batched[1]) == (single[0].to_json(), single[1]), render(f)
+
+
+def _type_set_valuations(names, n):
+    """The valuations of ``names`` on n worlds of distinct types, in search order."""
+    for types in itertools.combinations(range(1 << len(names)), n):
+        yield {a: sum(1 << w for w, t in enumerate(types) if t >> i & 1) for i, a in enumerate(names)}
+
+
+def _packed_batteries():
+    # nested boxes, |>, and closed bodies that send segments down different
+    # updated chains; the last of each list is first falsified at valuation
+    # (0, 1) under chain ({w2}), after (1, 2) is under the earlier ({w1})
+    rng = random.Random(20261019)
+    conwon = BATCH_CONWON + ["[p](q | [q]~q)", "[p][q][r][p]q", "[p | ~p][q]r", "[p]([q]r | ~[r]p)",
+                             "[q | ~q]p -> p"]
+    for dialect, fixed in (("conwon", conwon), ("v", BATCH_V + ["((q | ~q) |> p) -> p"])):
+        yield [parse_formula(t, dialect=dialect) for t in fixed] + [
+            random_formula(rng, ["p", "q", "r"], rng.randint(1, 3), size=5, dialect=dialect) for _ in range(8)]
+
+
+@pytest.mark.parametrize("block_bits", [semantics.BLOCK_BITS, 10])
+def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
+    # each segment of a block, under every chain, has the masks its valuation
+    # has alone; the blocks cut the search order into consecutive runs that
+    # stay under the cap (10 bits: blocks of 5, 3 and 2 valuations)
+    monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    for formulas in _packed_batteries():
+        compiled = CompiledFormula()
+        roots = [compiled.add(f) for f in formulas]
+        names = tuple(sorted(compiled.atom_bit))
+        for max_worlds, max_len in [(3, 3), (4, 2)]:
+            seen = []
+            for n, valuation, ev, candidates in _valuations(compiled, names, max_len, max_worlds):
+                assert ev.full.bit_length() <= max(block_bits, n)
+                ones = (1 << n) - 1
+                for segment in range(ev.full.bit_length() // n):
+                    alone = {a: m >> segment * n & ones for a, m in valuation.items()}
+                    seen.append((n, alone))
+                    single = ModelEvaluator(compiled, n, alone)
+                    for chain in candidates:
+                        packed = tuple(s * ev.low for s in chain)
+                        for f, r in zip(formulas, roots):
+                            assert ev.truth_mask(r, packed) >> segment * n & ones == single.truth_mask(r, chain), (
+                                render(f), n, alone, chain)
+            assert seen == [(n, v) for n in range(1, max_worlds + 1) for v in _type_set_valuations(names, n)]
+
+
+def _first_falsifying_point(compiled, root, max_worlds, max_len):
+    """The first point falsifying ``root``, one valuation at a time: |W|, then valuation, then chain."""
+    names = tuple(sorted(a for a, bit in compiled.atom_bit.items() if compiled.atom_bits[root] & bit)) or ("p",)
+    for n in range(1, min(max_worlds, 1 << len(names)) + 1):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        for valuation in _type_set_valuations(names, n):
+            single = ModelEvaluator(compiled, n, valuation)
+            for chain in chains(n, min(max_len if compiled.depths[root] else 0, n - 1)):
+                false_at = single.full & ~single.truth_mask(root, chain)
+                if false_at:
+                    model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
+                    context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
+                    world = worlds[(false_at & -false_at).bit_length() - 1]
+                    return ContextualizedPointedModel(model, SequenceContext(context), world)
+    return None
+
+
+@pytest.mark.parametrize("block_bits", [semantics.BLOCK_BITS, 10])
+def test_packed_search_keeps_the_single_valuation_order(monkeypatch, block_bits):
+    # a block's pick is its lowest segment with any chain picking, at the
+    # first such chain: the point a search one valuation at a time meets first
+    monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    for formulas in _packed_batteries():
+        for max_worlds, max_len in [(3, 3), (4, 2)]:
+            compiled = CompiledFormula()
+            roots = [compiled.add(f) for f in formulas]
+            found = search_points(compiled, [(r,) for r in roots], SearchBounds(max_worlds, max_len), falsified)
+            for f, r, witness in zip(formulas, roots, found):
+                first = _first_falsifying_point(compiled, r, max_worlds, max_len)
+                assert (witness and witness.to_json()) == (first and first.to_json()), (render(f), block_bits)
 
 
 def test_satisfiability_helpers():
