@@ -1,6 +1,8 @@
-"""Comparative-possibility conditional logic V: models and equivalence harness.
+"""Comparative-possibility conditional logic V: models, truth and equivalence harness.
 
-Four model classes for the dialect with the binary conditional ``|>``:
+:func:`truth_set_v` evaluates a formula as one walk over world sets,
+each subformula once, and :func:`eval_v` reads one world off it.  Four
+model classes for the dialect with the binary conditional ``|>``:
 
 * :class:`RelationalModelV` -- a per-world frame (W_w, <_w);
 * :class:`UniversalRelationalModelV` -- one global strict order;
@@ -16,17 +18,13 @@ witnesses across the transformations for single conditionals.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import FrozenRecord, Record
 from .formula import (
-    And,
-    Atom,
     CondBox,
     CondCorner,
-    Falsum,
     Formula,
-    Not,
     dialect_of,
     is_flat,
     is_propositional,
@@ -42,6 +40,7 @@ from .semantics import (
     evaluate,
     satisfying_witness,
     search_points,
+    set_walk,
 )
 
 OrderPairs = FrozenSet[Tuple[str, str]]
@@ -155,28 +154,22 @@ def load_pseudo_sphere(source) -> PseudoSphereModelV:
 # ---------------------------------------------------------------------------
 
 
-def _extension(m: ModelV, f: Formula) -> WorldSet:
-    return frozenset(w for w in m.model.worlds if eval_v(m, w, f))
-
-
-def _conditional_relational(m: RelationalModelV, w: str, phi: Formula, psi: Formula) -> bool:
+def _conditional_relational(frame: Tuple[WorldSet, OrderPairs], phi: WorldSet, psi: WorldSet) -> bool:
     # the limit-free forall/exists/forall clause: every antecedent world
     # sees, at or below itself, an antecedent world below which the
     # antecedent forces the consequent
-    domain, pairs = m.gamma[w]
-    phi_ext = _extension(m, phi)
-    psi_ext = _extension(m, psi)
+    domain, pairs = frame
 
     def at_or_below(a: str, b: str) -> bool:
         return a == b or (a, b) in pairs
 
     for u in domain:
-        if u not in phi_ext:
+        if u not in phi:
             continue
         witnessed = any(
-            v in phi_ext
+            v in phi
             and at_or_below(v, u)
-            and all(z not in phi_ext or z in psi_ext for z in domain if at_or_below(z, v))
+            and all(z not in phi or z in psi for z in domain if at_or_below(z, v))
             for v in domain
         )
         if not witnessed:
@@ -184,42 +177,42 @@ def _conditional_relational(m: RelationalModelV, w: str, phi: Formula, psi: Form
     return True
 
 
-def _conditional_universal(m: UniversalRelationalModelV, phi: Formula, psi: Formula) -> bool:
-    phi_ext = _extension(m, phi)
-    psi_ext = _extension(m, psi)
-    minimal = [u for u in phi_ext if not any((z, u) in m.order for z in phi_ext)]
-    return all(u in psi_ext for u in minimal)
-
-
-def _conditional_blocks(m: ModelV, blocks: Sequence[WorldSet], phi: Formula, psi: Formula) -> bool:
-    phi_ext = _extension(m, phi)
-    psi_ext = _extension(m, psi)
+def _conditional_blocks(blocks: Sequence[WorldSet], phi: WorldSet, psi: WorldSet) -> bool:
     for block in blocks:
-        hit = block & phi_ext
+        hit = block & phi
         if hit:
-            return hit <= psi_ext
+            return hit <= psi
     return True
+
+
+def truth_set_v(m: ModelV, f: Formula) -> WorldSet:
+    """The worlds where a ``|>``-dialect formula holds, each node walked once.
+
+    A relational model decides ``phi |> psi`` per world, from its frame;
+    in the other three it holds at every world or at none.
+    """
+    worlds = m.model.world_set
+
+    def corner(g: Formula, walk) -> WorldSet:
+        if type(g) is not CondCorner:
+            raise ValueError(f"not a |>-dialect formula: {g!r}")
+        phi, psi = walk(g.left), walk(g.right)
+        if isinstance(m, RelationalModelV):
+            return frozenset(w for w in m.model.worlds if _conditional_relational(m.gamma[w], phi, psi))
+        if isinstance(m, UniversalRelationalModelV):  # psi at every minimal phi-world
+            holds = all(u in psi for u in phi if not any((z, u) in m.order for z in phi))
+        else:
+            holds = _conditional_blocks(m.blocks if isinstance(m, SphereModelV) else m.spheres, phi, psi)
+        return worlds if holds else frozenset()
+
+    return set_walk(worlds, m.model.extent, corner)(f)
 
 
 def eval_v(m: ModelV, w: str, f: Formula) -> bool:
     """Truth of a ``|>``-dialect formula at world ``w``."""
-    if isinstance(f, Atom):
-        return w in m.model.extent(f.name)
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Not):
-        return not eval_v(m, w, f.child)
-    if isinstance(f, And):
-        return eval_v(m, w, f.left) and eval_v(m, w, f.right)
-    if isinstance(f, CondCorner):
-        if isinstance(m, RelationalModelV):
-            return _conditional_relational(m, w, f.left, f.right)
-        if isinstance(m, UniversalRelationalModelV):
-            return _conditional_universal(m, f.left, f.right)
-        if isinstance(m, SphereModelV):
-            return _conditional_blocks(m, m.blocks, f.left, f.right)
-        return _conditional_blocks(m, m.spheres, f.left, f.right)
-    raise ValueError(f"not a |>-dialect formula: {f!r}")
+    if w not in m.model.world_set:
+        raise EvaluationError(f"unknown world {w!r}")
+    return w in truth_set_v(m, f)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +338,7 @@ class EquivalenceReport(Record):
 
 def _transport_v_to_conwon(m: PseudoSphereModelV, f_conwon: CondBox) -> ContextualizedPointedModel:
     """Satisfying context from a pseudo-sphere witness of a conditional."""
-    alpha_ext = frozenset(w for w in m.model.worlds if eval_v(m, w, f_conwon.antecedent))
+    alpha_ext = truth_set_v(m, f_conwon.antecedent)
     if not alpha_ext:
         context = SequenceContext((m.model.world_set,))
     else:
@@ -359,10 +352,7 @@ def _transport_v_to_conwon(m: PseudoSphereModelV, f_conwon: CondBox) -> Contextu
 def _transport_conwon_to_v(witness: ContextualizedPointedModel) -> Tuple[PseudoSphereModelV, str]:
     """Pseudo-sphere model from a sequence-context witness of a conditional."""
     model = witness.model
-    seq = witness.context.sequence if isinstance(witness.context, SequenceContext) else None
-    if seq is None:
-        raise ValueError("transport expects a sequence context")
-    entries = (model.world_set,) + tuple(seq)
+    entries = (model.world_set,) + witness.context.sequence
     ys = context_to_partition(entries, model.world_set)
     spheres = tuple(y for y in reversed(ys) if y)
     return PseudoSphereModelV(model, spheres), witness.world
@@ -397,7 +387,7 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
         report.transport_checks.append(
             f"V witness transported to a context: {'verified' if ok else 'FAILED'}"
         )
-    if bare and conwon_wit is not None and isinstance(conwon_wit.context, SequenceContext):
+    if bare and conwon_wit is not None:
         mv, wv = _transport_conwon_to_v(conwon_wit)
         ok = eval_v(mv, wv, f_v)
         report.transport_checks.append(

@@ -1,9 +1,12 @@
 """Truth evaluation over contextualized pointed models and bounded search.
 
-:func:`evaluate` is the set-based reference evaluator, with optional traces
-of every conditional step.  A bitmask kernel (:class:`ModelEvaluator`) in
-one enumeration loop, :func:`search_points`, serves the bounded searches
-and, for ``|>``, ``lewis.satisfying_witness_v``.
+:func:`truth_set`, the set-based reference evaluator, gives each
+subformula's world set once per context; a conditional, which does not
+depend on the world, holds at all worlds or none.  Its optional trace
+lists each conditional once per context, outer steps first.  A bitmask
+kernel (:class:`ModelEvaluator`) in one enumeration loop,
+:func:`search_points`, serves the bounded searches and, for ``|>``,
+``lewis.satisfying_witness_v``.
 
 Chain normal form.  A sequence context X1...Xk matters to truth only
 through its chain of running intersections S_j = X1 & ... & X_j, kept
@@ -147,73 +150,78 @@ class ConditionalStep(Record):
 EvalTrace = List[ConditionalStep]
 
 
-def extension(model: Model, alpha: Formula) -> FrozenSet[str]:
-    """The default generated by a propositional formula; conditionals are rejected."""
-    if isinstance(alpha, Atom):
-        return model.extent(alpha.name)
-    if isinstance(alpha, Falsum):
-        return frozenset()
-    if isinstance(alpha, Not):
-        return model.world_set - extension(model, alpha.child)
-    if isinstance(alpha, And):
-        return extension(model, alpha.left) & extension(model, alpha.right)
-    if isinstance(alpha, (CondBox, CondCorner)):
-        raise EvaluationError("extension requires a propositional formula")
-    raise TypeError(f"not a formula: {alpha!r}")
+def set_walk(world_set: FrozenSet[str], extent: Callable[[str], FrozenSet[str]],
+             conditional: Callable) -> Callable[[Formula], FrozenSet[str]]:
+    """A walk giving each formula's world set, memoised per node.
+
+    Atoms take ``extent``, ``~`` and ``&`` act on sets, and any other node
+    takes ``conditional(node, walk)``.
+    """
+    memo: Dict[Formula, FrozenSet[str]] = {}
+
+    def walk(g: Formula) -> FrozenSet[str]:
+        value = memo.get(g)
+        if value is None:
+            cls = type(g)
+            if cls is Atom:
+                value = extent(g.name)
+            elif cls is Not:
+                value = world_set - walk(g.child)
+            elif cls is And:
+                value = walk(g.left) & walk(g.right)
+            elif cls is Falsum:
+                value = frozenset()
+            else:
+                value = conditional(g, walk)
+            memo[g] = value
+        return value
+
+    return walk
 
 
-def evaluate(
-    model: Model,
-    context: Context,
-    world: str,
-    f: Formula,
-    trace: Optional[EvalTrace] = None,
-) -> bool:
-    """Truth of a desugared conwon formula at (model, context, world)."""
-    if isinstance(f, Atom):
-        return world in model.extent(f.name)
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Not):
-        return not evaluate(model, context, world, f.child, trace)
-    if isinstance(f, And):
-        return evaluate(model, context, world, f.left, trace) and evaluate(
-            model, context, world, f.right, trace
-        )
-    if isinstance(f, CondBox):
-        generated = extension(model, f.antecedent)
+def truth_set(model: Model, context: Optional[Context], f: Formula,
+              trace: Optional[EvalTrace] = None) -> FrozenSet[str]:
+    """The worlds where a desugared conwon formula holds at ``context``, each node walked once.
+
+    ``[a]phi`` updates the context with a's extension once and holds at
+    every world or at none: iff phi's set under the updated context covers
+    its expected states.  A trace gets its step before its consequent's.
+    """
+    def box(g: Formula, walk) -> FrozenSet[str]:
+        if type(g) is not CondBox:
+            raise TypeError(f"not a conwon formula: {g!r}")
+        generated = walk(g.antecedent)
         # only the set form and traces use the default's name
         named = trace is not None or isinstance(context, OrderedDefaultSet)
-        label = render(f.antecedent) if named else None
+        label = render(g.antecedent) if named else None
         updated = update(context, generated, name=None if label is None else f"|{label}|")
         exp = expected(model, updated)
-        step = None
         if trace is not None:
-            if isinstance(updated, OrderedDefaultSet):
-                levels = tuple(tuple(sorted(level)) for level in hierarchy(updated))
-                seq = None
-            else:
-                levels = None
-                seq = updated.sequence
-            step = ConditionalStep(
-                antecedent=label,
-                generated=generated,
-                levels=levels,
-                sequence=seq,
-                expected=exp,
-            )
+            ordered = isinstance(updated, OrderedDefaultSet)
+            levels = tuple(tuple(sorted(level)) for level in hierarchy(updated)) if ordered else None
+            step = ConditionalStep(label, generated, levels, None if ordered else updated.sequence, exp)
             trace.append(step)
-        verdict = True
-        for u in sorted(exp):
-            sub = evaluate(model, updated, u, f.consequent, trace)
-            if step is not None:
-                step.verdicts[u] = sub
-            if not sub:
-                verdict = False
-                if step is None:
-                    break
-        return verdict
-    raise TypeError(f"not a conwon formula: {f!r}")
+        sub = truth_set(model, updated, g.consequent, trace)
+        if trace is not None:
+            step.verdicts.update((u, u in sub) for u in sorted(exp))
+        return model.world_set if exp <= sub else frozenset()
+
+    return set_walk(model.world_set, model.extent, box)(f)
+
+
+def extension(model: Model, alpha: Formula) -> FrozenSet[str]:
+    """The default generated by a propositional formula; conditionals are rejected."""
+    if alpha.depth:
+        raise EvaluationError("extension requires a propositional formula")
+    return truth_set(model, None, alpha)
+
+
+def evaluate(model: Model, context: Context, world: str, f: Formula,
+             trace: Optional[EvalTrace] = None) -> bool:
+    """Truth of a desugared conwon formula at (model, context, world)."""
+    if world not in model.world_set:
+        raise EvaluationError(f"unknown world {world!r}")
+    return world in truth_set(model, context, f, trace)
 
 
 def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTrace] = None) -> bool:

@@ -81,6 +81,11 @@ def formula_battery(seed: int, count: int, atom_names, max_depth: int,
     return out
 
 
+def nested_boxes(depth: int) -> str:
+    """``[p](p & [q]...p)`` nested ``depth`` deep: 2 * depth conditionals in a chain."""
+    return "[p](p & [q]" * depth + "p" + ")" * depth
+
+
 # --- brute-force enumerators ------------------------------------------------
 
 

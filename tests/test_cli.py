@@ -18,7 +18,7 @@ from conwon.models import SchemaError, load_context, load_model
 from conwon.proofs import ProofError
 from conwon.reduction import RewriteError
 from conwon.semantics import EvaluationError, evaluate
-from conftest import invoke
+from conftest import invoke, nested_boxes
 
 
 @pytest.fixture
@@ -122,6 +122,19 @@ def test_eval_and_example_share_the_trace_schema(tiger_files):
     assert json.loads(result.output)["trace"] == [step]
     result = invoke(["examples", "run", "tiger", "--output", "json"])
     assert json.loads(result.output)["trace"] == [step]
+
+
+def test_eval_trace_lists_each_conditional_once_per_context(tmp_path):
+    worlds = [f"w{i + 1}" for i in range(8)]
+    model, context = tmp_path / "model.json", tmp_path / "context.json"
+    model.write_text(json.dumps({"worlds": worlds, "valuation": {"p": worlds[:6], "q": worlds[:4]}}))
+    context.write_text(json.dumps({"kind": "sequence", "sequence": [worlds]}))
+    result = invoke([
+        "eval", "--model", str(model), "--context", str(context), "--world", "w1",
+        "--formula", nested_boxes(8), "--trace", "--output", "json",
+    ])
+    assert result.exit_code in (0, 1), result.output
+    assert len(json.loads(result.output)["trace"]) == 16
 
 
 def test_eval_false_exit_1(nonmono_files):

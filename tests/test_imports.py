@@ -57,8 +57,9 @@ def run_fresh(code: str) -> dict:
 
 
 def run_cli(*argv: str) -> dict:
+    """``run_fresh`` of ``conwon <argv>``; ``result`` is its exit code."""
     code = ("from conwon.cli import main\n"
-            f"try:\n    main({list(argv)!r})\nexcept SystemExit:\n    pass")
+            f"try:\n    main({list(argv)!r})\nexcept SystemExit as exc:\n    result = exc.code")
     return run_fresh(code)
 
 
@@ -120,6 +121,29 @@ def test_cli_batch_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert [command for command, code, _ in result] == [argv[0] for argv in batch]
     assert all(code in (0, 1) for _, code, _ in result), result
     assert [loaded for _, _, loaded in result] == [[]] * len(batch), result
+
+
+EVALUATOR = ["cli", "errors", "formula", "models", "semantics"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["eval", "--model", "MODEL", "--context", "CONTEXT", "--world", "w3",
+                  "--formula", "[a_g]~a_d", "--trace"], EVALUATOR, id="eval-trace"),
+    pytest.param(["update", "--model", "MODEL", "--context", "CONTEXT", "--alpha", "a_g"], EVALUATOR,
+                 id="update"),
+    pytest.param(["examples", "run", "tiger"], sorted(EVALUATOR + ["fixtures"]), id="examples-run-tiger"),
+    pytest.param(["check-proof", "PROOF"], None, id="check-proof"),
+])
+def test_evaluator_subcommands_load_only_what_they_use(tmp_path, argv, loaded):
+    files = {"MODEL": fixtures.TIGER_MODEL, "CONTEXT": fixtures.TIGER_CONTEXT, "PROOF": fixtures.VALID_PROOF}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    out = run_cli(*(str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv))
+    assert out["result"] in (0, 1, None)
+    if loaded is None:  # the proof checker needs no evaluator
+        assert "semantics" not in out["loaded"]
+    else:
+        assert out["loaded"] == loaded
 
 
 @pytest.mark.parametrize("argv", [["parse", "p"], ["reduce", "--formula", "[p][q]r"],

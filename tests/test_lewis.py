@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conwon.formula import Not, atoms, modal_depth, parse_formula, render
+from conwon import lewis
+from conwon.formula import And, Atom, CondCorner, Not, atoms, modal_depth, parse_formula, render
 from conwon.lewis import (
     PseudoSphereModelV,
     RelationalModelV,
@@ -201,6 +202,29 @@ def test_relational_order_validation():
         RelationalModelV(model, {w: (model.world_set, bad) for w in model.worlds})
     with pytest.raises(SchemaError):
         UniversalRelationalModelV(model, frozenset({("w1", "w1")}))
+
+
+def test_eval_v_rejects_unknown_world():
+    model = Model(("w1", "w2"), {"p": fs("w1")})
+    m = PseudoSphereModelV(model, (fs("w1"), fs("w2")))
+    with pytest.raises(EvaluationError, match="unknown world 'w9'"):
+        eval_v(m, "w9", pv("~p"))
+
+
+def test_eval_v_decides_each_corner_once(monkeypatch):
+    # one sphere-clause call per |> node, however many worlds each
+    # antecedent and consequent hold
+    calls = []
+    clause = lewis._conditional_blocks
+    monkeypatch.setattr(lewis, "_conditional_blocks", lambda *args: calls.append(1) or clause(*args))
+    worlds = tuple(f"w{i + 1}" for i in range(8))
+    model = Model(worlds, {"p": frozenset(worlds[:6]), "q": frozenset(worlds[:4])})
+    m = PseudoSphereModelV(model, (frozenset(worlds[4:]), frozenset(worlds[:4])))
+    f = pv("p")
+    for _ in range(8):
+        f = CondCorner(Atom("p"), And(Atom("q"), f))
+    eval_v(m, "w1", f)
+    assert len(calls) == 8
 
 
 # --- enumeration and the equivalence harness ------------------------------

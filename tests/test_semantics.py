@@ -18,6 +18,7 @@ from conwon.models import (
     SequenceContext,
     core,
     expected,
+    hierarchy,
     load_context,
     load_model,
     theta,
@@ -43,9 +44,10 @@ from conwon.semantics import (
     satisfying_witness,
     search_points,
     truth_masks_agree,
+    truth_set,
     _valuations,
 )
-from conftest import context_chain, iter_contexts, iter_models, random_formula, random_prop
+from conftest import context_chain, iter_contexts, iter_models, nested_boxes, random_formula, random_prop
 
 
 def fs(*worlds):
@@ -172,8 +174,10 @@ def test_core_invariance_of_truth():
 
 
 def test_set_and_sequence_contexts_agree():
-    # an ordered default set behaves like the sequence of its level
-    # intersections
+    # an ordered default set and the sequence of its level intersections
+    # have the same expected states, and satisfy the same formulas while
+    # no update re-adds an existing default's extent (the next test); the
+    # draws here never do
     worlds = ("w1", "w2", "w3")
     subsets = [frozenset(c) for k in range(4) for c in itertools.combinations(worlds, k)]
     rng = random.Random(31)
@@ -191,8 +195,6 @@ def test_set_and_sequence_contexts_agree():
             ctx = OrderedDefaultSet(defaults, frozenset(pairs))
         except Exception:
             continue
-        from conwon.models import hierarchy
-
         levels = hierarchy(ctx)
         seq = tuple(
             frozenset.intersection(*(defaults[n] for n in level))
@@ -204,6 +206,39 @@ def test_set_and_sequence_contexts_agree():
         f = random_formula(rng, ("p", "q"), modal_budget=2, size=3)
         for w in model.worlds:
             assert evaluate(model, ctx, w, f) == evaluate(model, seq_ctx, w, f)
+
+
+def test_set_and_sequence_contexts_part_where_an_update_repeats_a_default():
+    # the set form drops the default whose extent the update adds again, and
+    # its hierarchy restratifies; the sequence of level intersections keeps it
+    model = Model(("w1", "w2", "w3"), {"p": fs("w1", "w2"), "q": fs("w1")})
+    ctx = OrderedDefaultSet({"d": fs("w1", "w2"), "e": fs("w2"), "f": fs("w1", "w3")}, {("d", "e")})
+    assert hierarchy(ctx) == (fs("d", "f"), fs("e"))
+    seq_ctx = SequenceContext((fs("w1"), fs("w2")))
+    assert expected(model, ctx) == expected(model, seq_ctx) == fs("w1")
+    f = parse_formula("[p]q")
+    assert evaluate(model, ctx, "w1", f) is False
+    assert evaluate(model, seq_ctx, "w1", f) is True
+
+
+def _nesting_model():
+    worlds = tuple(f"w{i + 1}" for i in range(8))
+    return Model(worlds, {"p": frozenset(worlds[:6]), "q": frozenset(worlds[:4])})
+
+
+@pytest.mark.parametrize("kind", ["sequence", "ordered-set"])
+def test_trace_lists_each_conditional_once_per_context(kind):
+    # every expected set below has at least three worlds, so re-walking
+    # each consequent per expected world would list over 3^15 steps
+    depth, model = 8, _nesting_model()
+    context = (theta(model) if kind == "sequence"
+               else OrderedDefaultSet({"D": frozenset(model.worlds[1:])}))
+    trace = []
+    evaluate(model, context, "w1", parse_formula(nested_boxes(depth)), trace)
+    assert len(trace) == 2 * depth
+    assert [step.antecedent for step in trace] == ["p", "q"] * depth  # outer steps first
+    assert all(len(step.expected) >= 3 for step in trace)
+    assert all(list(step.verdicts) == sorted(step.expected) for step in trace)
 
 
 # --- bounded search -------------------------------------------------------
@@ -249,7 +284,7 @@ CROSS_PAIRS = [
 
 
 def _oracle_masks(f, max_worlds, max_len):
-    """``evaluate``'s truth mask of ``f`` at every valuation and duplicate-free context.
+    """``truth_set``'s mask of ``f`` at every valuation and duplicate-free context.
 
     Also checks the kernel's mask at the context's chain against it.
     """
@@ -258,20 +293,21 @@ def _oracle_masks(f, max_worlds, max_len):
     table = {}
     for n in range(1, max_worlds + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
+        contexts = [(ctx, SequenceContext(tuple(mask_to_worlds(d, worlds) for d in ctx)), context_chain(ctx, n))
+                    for ctx in iter_contexts(n, max_len)]
         for valuation in iter_models(names, n):
             model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
             kernel = ModelEvaluator(compiled, n, valuation)
-            for ctx in iter_contexts(n, max_len):
-                context = SequenceContext(tuple(mask_to_worlds(d, worlds) for d in ctx))
-                mask = sum(1 << i for i, w in enumerate(worlds) if evaluate(model, context, w, f))
-                assert kernel.truth_mask(compiled.root, context_chain(ctx, n)) == mask, (
-                    render(f), valuation, ctx)
+            for ctx, context, chain in contexts:
+                holds = truth_set(model, context, f)
+                mask = sum(1 << i for i, w in enumerate(worlds) if w in holds)
+                assert kernel.truth_mask(compiled.root, chain) == mask, (render(f), valuation, ctx)
                 table[n, tuple(valuation.values()), ctx] = mask
     return table
 
 
 def test_chain_search_agrees_with_brute_force():
-    # brute force: evaluate over every valuation and every duplicate-free
+    # brute force: truth_set over every valuation and every duplicate-free
     # context, against the chain kernel, its verdicts and truth_masks_agree
     for max_worlds, max_len in [(2, 3), (3, 2)]:
         bounds = SearchBounds(max_worlds, max_len)
@@ -470,3 +506,6 @@ def test_unknown_world_rejected():
     context = load_context(NONMONO_CONTEXT, model)
     with pytest.raises(EvaluationError):
         ContextualizedPointedModel(model, context, "w9")
+    for text in ["~p", "[p]q"]:
+        with pytest.raises(EvaluationError, match="unknown world 'w9'"):
+            evaluate(model, context, "w9", parse_formula(text))
