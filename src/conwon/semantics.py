@@ -63,6 +63,17 @@ a & S_j.  By induction each segment's masks are its valuation's alone.
 The order stays |W|, valuation, chain: a block gives each query its
 lowest segment that any chain picks, at the first chain that picks it.
 
+Templates.  ``CompiledFormula.add(t, subst)`` walks a template t once into
+a program: its subformulas (positions) children first and, for its root and
+each box consequent, the positions a pass there meets.  An instance replays
+it: an atom takes its substitution's node, any other position one hash-cons
+lookup on (op, child nodes).  Nodes are keyed on (op, child nodes) alone and
+substitution is simultaneous, so by induction each position gets its
+subformula's node in the built instance.  A pass meets the met positions'
+nodes and, below a met leaf, those the leaf's own pass meets; no child is
+deeper than its parent, so the non-propositional ones but ``~``, each such
+leaf replaced by its plan, are exactly the instance's plan, children first.
+
 Many queries, one search.  A query's points (|W| up to 2^k, valuations of
 its k atoms, chains up to its context bound) depend only on its atoms and
 on whether it has conditionals, so queries alike in both walk the same
@@ -155,28 +166,49 @@ def set_walk(world_set: FrozenSet[str], extent: Callable[[str], FrozenSet[str]],
     """A walk giving each formula's world set, memoised per node.
 
     Atoms take ``extent``, ``~`` and ``&`` act on sets, and any other node
-    takes ``conditional(node, walk)``.
+    takes ``conditional(node, walk)``, left to right.
     """
     memo: Dict[Formula, FrozenSet[str]] = {}
 
-    def walk(g: Formula) -> FrozenSet[str]:
-        value = memo.get(g)
-        if value is None:
-            cls = type(g)
-            if cls is Atom:
-                value = extent(g.name)
-            elif cls is Not:
-                value = world_set - walk(g.child)
-            elif cls is And:
-                value = walk(g.left) & walk(g.right)
-            elif cls is Falsum:
-                value = frozenset()
-            else:
-                value = conditional(g, walk)
-            memo[g] = value
-        return value
+    def walk(f: Formula) -> FrozenSet[str]:
+        stack = [f]  # a ~ or & waits under a None until its children are done: no recursion through them
+        while stack:
+            g = stack.pop()
+            if g is None:  # the next one's children are done
+                g = stack.pop()
+                memo[g] = world_set - memo[g.child] if type(g) is Not else memo[g.left] & memo[g.right]
+            elif g not in memo and (type(g) is Not or type(g) is And):
+                stack += (g, None, g.child) if type(g) is Not else (g, None, g.right, g.left)
+            elif g not in memo:
+                cls = type(g)
+                memo[g] = extent(g.name) if cls is Atom else frozenset() if cls is Falsum else conditional(g, walk)
+        return memo[f]
 
     return walk
+
+
+def _postorder(f: Formula, seen: Dict[Formula, Optional[int]], into_consequents: bool = True) -> List[Formula]:
+    """The subformulas of ``f`` not in ``seen``, each once, children first, left to right, each entered
+    in ``seen`` as None; without ``into_consequents``, none reached only through a box consequent."""
+    order, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g is None:  # all of the next one's children are in order
+            order.append(stack.pop())
+        elif g not in seen:
+            cls = type(g)
+            if cls is And or cls is CondCorner:
+                stack += g, None, g.right, g.left
+            elif cls is Not:
+                stack += g, None, g.child
+            elif cls is CondBox:
+                stack += (g, None, g.consequent, g.antecedent) if into_consequents else (g, None, g.antecedent)
+            elif cls is Atom or cls is Falsum:
+                order.append(g)
+            else:  # only f can be one, as constructors read their children's depth: seen is unchanged
+                raise TypeError(f"not a formula: {g!r}")
+            seen[g] = None
+    return order
 
 
 def truth_set(model: Model, context: Optional[Context], f: Formula,
@@ -263,11 +295,11 @@ def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
 class CompiledFormula:
     """Formulas lowered into one shared node array, children first.
 
-    Structurally identical subterms share a node, across all formulas
-    added, so results are shared too.  Node ops: ("atom", name), ("false",),
-    ("not", i), ("and", i, j), ("box", i, j), ("corner", i, j).  The same
-    pass records each node's modal depth (``depths``, 0 iff propositional)
-    and atoms (``atom_bits``).  ``CompiledFormula(f)`` adds ``f`` as ``root``.
+    Nodes are hash-consed on (op, child nodes), shared across all formulas
+    added, and so are results.  Node ops: ("atom", name), ("false",),
+    ("not", i), ("and", i, j), ("box", i, j), ("corner", i, j).  Each node
+    records its modal depth (``depths``, 0 iff propositional) and atoms
+    (``atom_bits``).  ``CompiledFormula(f)`` adds ``f`` as ``root``.
     """
 
     def __init__(self, f: Optional[Formula] = None):
@@ -278,61 +310,75 @@ class CompiledFormula:
         self.bases: List[int] = []  # of each node: itself, or ~b for ~ over non-propositional b
         self.prop_plan: List[tuple] = []  # (index, op, i, j) of each propositional node
         self._index: Dict[tuple, int] = {}
+        self._lowered: Dict[Formula, int] = {}  # each formula added, and its subformulas -> node
         self._plans: Dict[int, List[tuple]] = {}
+        self._programs: Dict[Formula, tuple] = {}  # template -> (program, its atoms, plan root -> reach)
         if f is not None:
             self.root = self.add(f)
 
     def add(self, f: Formula, subst: Optional[Mapping[str, Formula]] = None) -> int:
-        """Lower ``f`` and return its node; no reference to a formula is kept.
+        """Lower ``f`` and return its node.
 
-        Atoms named in ``subst`` stand for their formulas, all at once, as
-        in ``proofs.instantiate``; the instance itself is never built.
+        Atoms named in ``subst`` stand for their formulas, all at once, as in
+        ``proofs.instantiate``; the instance is never built (see Templates).
         """
-        leaves = {name: self.add(g) for name, g in (subst or {}).items()}
-        self._seen: Dict[Formula, int] = {}  # subformula of f -> node
-        self._leaves = leaves  # atom name -> the node it stands for
-        root = self._add(f)
-        del self._seen, self._leaves
-        return root
+        if subst is None:
+            if f not in self._lowered:
+                self._lower(_postorder(f, self._lowered), self._lowered)
+            return self._lowered[f]
+        if f not in self._programs:
+            order = _postorder(f, {})
+            roots = [f] + [g.consequent for g in order if type(g) is CondBox]
+            self._programs[f] = ([g for g in order if type(g) is not Atom], [g for g in order if type(g) is Atom],
+                                 {r: _postorder(r, {}, into_consequents=False) for r in roots})
+        program, leaves, plans = self._programs[f]
+        seen = {a: self.add(subst.get(a.name, a)) for a in leaves}  # template subformula -> node
+        self._lower(program, seen)
+        depths, bases = self.depths, self.bases
+        for r, reach in plans.items():
+            root = max(bases[seen[r]], ~bases[seen[r]])
+            if depths[root] and root not in self._plans:
+                steps: List[tuple] = []
+                for g in reach:
+                    i = seen[g]
+                    if depths[i] and type(g) is not Not:  # a leaf brings its own plan
+                        steps += self.plan(max(bases[i], ~bases[i])) if type(g) is Atom else (self._step(i),)
+                self._plans[root] = list(dict.fromkeys(steps))
+        return seen[f]
 
-    def _add(self, f: Formula) -> int:
-        idx = self._seen.get(f)  # a shared subformula is lowered once
-        if idx is not None:
-            return idx
-        cls, depths = type(f), self.depths
-        if cls is And:
-            key = ("and", self._add(f.left), self._add(f.right))
-            depth = max(depths[key[1]], depths[key[2]])
-        elif cls is Not:
-            key = ("not", self._add(f.child))
-            depth = depths[key[1]]
-        elif cls is Atom:
-            key, depth = ("atom", f.name), 0
-            idx = self._leaves.get(f.name)
-        elif cls is CondBox:
-            key = ("box", self._add(f.antecedent), self._add(f.consequent))
-            depth = 1 + max(depths[key[1]], depths[key[2]])
-        elif cls is CondCorner:
-            key = ("corner", self._add(f.left), self._add(f.right))
-            depth = 1 + max(depths[key[1]], depths[key[2]])
-        elif cls is Falsum:
-            key, depth = ("false",), 0
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        if idx is None:
-            idx = self._index.get(key)
-        if idx is None:
-            idx = self._index[key] = len(self.nodes)
-            self.nodes.append(key)
-            depths.append(depth)
-            bits, bases = self.atom_bits, self.bases
-            bits.append(self.atom_bit.setdefault(f.name, 1 << len(self.atom_bit)) if cls is Atom
-                        else bits[key[1]] | bits[key[-1]] if len(key) > 1 else 0)
-            bases.append(~bases[key[1]] if depth and cls is Not else idx)
-            if not depth:
-                self.prop_plan.append((idx, *(key + (0, 0))[:3]))
-        self._seen[f] = idx
-        return idx
+    def _lower(self, order: List[Formula], seen: Dict[Formula, int]) -> None:
+        """Enter each formula of ``order`` in ``seen`` with its node; its children are in ``seen`` first."""
+        index, nodes, depths, bits, bases = self._index, self.nodes, self.depths, self.atom_bits, self.bases
+        for g in order:
+            cls = type(g)
+            if cls is And or cls is CondCorner:
+                a, b = seen[g.left], seen[g.right]
+                key = ("and" if cls is And else "corner", a, b)
+                depth = (depths[a] if depths[a] > depths[b] else depths[b]) + (cls is CondCorner)
+            elif cls is Not:
+                a = b = seen[g.child]
+                key, depth = ("not", a), depths[a]
+            elif cls is CondBox:
+                a, b = seen[g.antecedent], seen[g.consequent]
+                key, depth = ("box", a, b), 1 + depths[b]
+            else:  # an atom's operand is its name
+                a, b, depth, key = (g.name, 0, 0, ("atom", g.name)) if cls is Atom else (0, 0, 0, ("false",))
+            idx = index.get(key)
+            if idx is None:
+                idx = index[key] = len(nodes)
+                nodes.append(key)
+                depths.append(depth)
+                bits.append(self.atom_bit.setdefault(a, 1 << len(self.atom_bit)) if cls is Atom
+                            else 0 if cls is Falsum else bits[a] | bits[b])
+                bases.append(~bases[a] if depth and cls is Not else idx)
+                if not depth:
+                    self.prop_plan.append((idx, key[0], a, b if cls is And else 0))
+            seen[g] = idx
+
+    def _step(self, i: int) -> tuple:
+        op, a, b = self.nodes[i]
+        kind, a, b = "corner" if op == "box" and not self.depths[b] else op, self.bases[a], self.bases[b]
+        return i, kind, a if a >= 0 else ~a, -(a < 0), b if b >= 0 else ~b, -(b < 0)
 
     def plan(self, node: int) -> List[tuple]:
         """What one pass at ``node``'s chain evaluates: (index, op, a, na, b, nb), children first.
@@ -345,20 +391,14 @@ class CompiledFormula:
         """
         steps = self._plans.get(node)
         if steps is None:
-            found, stack = set(), [node]
+            found, stack, depths, nodes = set(), [node], self.depths, self.nodes
             while stack:
                 i = stack.pop()
-                if i not in found and self.depths[i]:
+                if i not in found and depths[i]:
                     found.add(i)
-                    op = self.nodes[i]
+                    op = nodes[i]
                     stack += op[1:2] if op[0] == "box" else op[1:]
-            steps = self._plans[node] = []
-            for i in sorted(found):
-                op = self.nodes[i]
-                if op[0] != "not":
-                    kind = "corner" if op[0] == "box" and not self.depths[op[2]] else op[0]
-                    a, b = self.bases[op[1]], self.bases[op[2]]
-                    steps.append((i, kind, max(a, ~a), -(a < 0), max(b, ~b), -(b < 0)))
+            steps = self._plans[node] = [self._step(i) for i in sorted(found) if nodes[i][0] != "not"]
         return steps
 
 

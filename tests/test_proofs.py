@@ -209,23 +209,76 @@ def test_soundness_sweep_instance_counts():
     assert conwon.ok and v1.ok
 
 
+def _reference_plan(compiled, node):
+    """The non-propositional nodes but ``~`` of ``node``'s sub-DAG, box consequents left out."""
+    found, stack = set(), [node]
+    while stack:
+        i = stack.pop()
+        if i not in found and compiled.depths[i]:
+            found.add(i)
+            op = compiled.nodes[i]
+            stack += op[1:2] if op[0] == "box" else op[1:]
+    return {i for i in found if compiled.nodes[i][0] != "not"}
+
+
+def _plan_roots(compiled, root):
+    """The root and every non-propositional box consequent below it, as the kernel runs them."""
+    found, stack = set(), [root]
+    while stack:
+        i = stack.pop()
+        if i not in found:
+            found.add(i)
+            stack += [j for j in compiled.nodes[i][1:] if type(j) is int]
+    bases = [compiled.bases[i] for i in [root] + [compiled.nodes[i][2] for i in found
+                                                  if compiled.nodes[i][0] == "box"]]
+    return {max(b, ~b) for b in bases if compiled.depths[max(b, ~b)]}
+
+
 def test_sweep_lowers_templates_as_instances():
-    # lowering a template under a substitution reaches the instance's own node
-    counts = {}
+    # lowering a template under a substitution reaches the instance's own
+    # node, and every plan replayed from the template's runs exactly the
+    # steps a search of the instance's DAG finds, each once, children first
+    counts, replayed = {}, 0
     for system in ("conwon", "v1"):
         counts[system] = mismatches = 0
         for schema, substs in sweep_substitutions(system):
             compiled = CompiledFormula()
             for subst in substs:
                 lowered = compiled.add(schema.template, subst)
+                roots = _plan_roots(compiled, lowered)
+                assert roots <= set(compiled._plans), (schema.identifier, subst)  # no plan left to build
+                for node in roots:
+                    steps = [step[0] for step in compiled.plan(node)]
+                    assert set(steps) == _reference_plan(compiled, node) and len(set(steps)) == len(steps)
+                    order = {i: k for k, i in enumerate(steps)}
+                    assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
+                               for i, op, a, _, b, _ in compiled.plan(node))
+                    replayed += 1
                 mismatches += lowered != compiled.add(instantiate(schema, subst))
             counts[system] += len(substs)
         assert mismatches == 0, system
     assert counts == {"conwon": 1025, "v1": 630}
+    assert replayed > 1655
     # the substitution is simultaneous: a value's atoms are not substituted again
     compiled = CompiledFormula()
     swapped = compiled.add(pf("[p]q"), {"p": Atom("q"), "q": Atom("p")})
     assert swapped == compiled.add(pf("[q]p")) != compiled.add(pf("[q]q"))
+
+
+def test_sweeps_walk_each_template_once(monkeypatch):
+    # one template program per schema serves all of its instances
+    import conwon.semantics
+
+    made = []
+
+    class Recorded(CompiledFormula):
+        def __init__(self, f=None):
+            super().__init__(f)
+            made.append(self)
+
+    monkeypatch.setattr(conwon.semantics, "CompiledFormula", Recorded)
+    instances = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
+    assert (sum(len(compiled._programs) for compiled in made), instances) == (15, 1655)
 
 
 def test_soundness_sweep_reports_unsound_schemas(monkeypatch):

@@ -25,6 +25,7 @@ from conwon.models import (
     update,
 )
 from conwon import semantics
+from conwon.lewis import PseudoSphereModelV, truth_set_v
 from conwon.semantics import (
     CompiledFormula,
     ContextualizedPointedModel,
@@ -321,6 +322,50 @@ def test_chain_search_agrees_with_brute_force():
         for a, b in CROSS_PAIRS:
             witness = truth_masks_agree(parse_formula(a), parse_formula(b), max_worlds, max_len)
             assert (witness is not None) == (tables[a] != tables[b]), (a, b, max_worlds, max_len)
+
+
+# Nested |> formulas: a consequent under |> sees the chain of its conditional.
+CROSS_CHECK_V = [
+    "p |> (q |> p)",
+    "~(p |> ~(q |> r))",
+    "(p |> q) |> (q |> r)",
+    "(p | q) |> (~(p |> ~q) -> q)",
+    "p |> ((q |> r) & ~(r |> ~p))",
+    "((p |> q) & (q |> p)) -> ((p |> r) <-> (q |> r))",
+]
+
+
+def test_v_kernel_masks_agree_with_pseudo_spheres():
+    # brute force: the kernel's mask of each formula under every chain, at
+    # every valuation, against truth_set_v on the chain's pseudo-sphere model
+    # Sm, S(m-1) - Sm, ..., W - S1
+    for text in CROSS_CHECK_V:
+        f = parse_formula(text, dialect="v")
+        names = tuple(sorted(atoms(f)))
+        compiled = CompiledFormula(f)
+        for n in range(1, 4):
+            worlds, full = tuple(f"w{i + 1}" for i in range(n)), (1 << n) - 1
+            for valuation in iter_models(names, n):
+                model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
+                kernel = ModelEvaluator(compiled, n, valuation)
+                for chain in chains(n, n - 1):
+                    entries = (full,) + chain
+                    spheres = [entries[-1]] + [entries[j - 1] & ~entries[j] for j in range(len(chain), 0, -1)]
+                    m = PseudoSphereModelV(model, [mask_to_worlds(s, worlds) for s in spheres])
+                    holds = truth_set_v(m, f)
+                    mask = sum(1 << i for i, w in enumerate(worlds) if w in holds)
+                    assert kernel.truth_mask(compiled.root, chain) == mask, (text, valuation, chain)
+
+
+def test_deep_propositional_formula_goes_through_the_search():
+    # 5,000 nested ~ and & are lowered, searched and re-checked by the
+    # set-based evaluator without one stack frame per level
+    f = Atom("p")
+    for i in range(5000):
+        f = And(Not(f), Atom("q")) if i % 2 else Not(f)
+    witness = find_countermodel(f, SearchBounds(2, 2))
+    assert witness is not None and not eval_cpm(witness, f)
+    assert find_countermodel(Not(And(f, Not(f))), SearchBounds(2, 2)) is None
 
 
 def test_chains_count_ordered_partitions():
