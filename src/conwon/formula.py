@@ -20,10 +20,44 @@ goes when the node dies.  Each node records, from its children in O(1)
 at construction, its modal ``depth``, whether it is ``closed`` (see
 :func:`is_closed`) and its ``size``, the number of nodes :func:`render`
 prints; the classifiers read these.
+
+Parsing is one ``re.findall`` and one operator-precedence loop (Pratt
+1973), printing one loop over a stack, so nesting is bounded by memory
+only.  Binding strength, loosest first:
+
+    1. ``<->``  non-associative
+    2. ``->``   right-associative
+    3. ``|>``   non-associative, dialect ``v`` only
+    4. ``|``    left-associative
+    5. ``&``    left-associative
+
+and the prefixes ``~ [a] <a> box dia E A`` bind tighter still: the grammar
+``iff ::= imp [<-> imp]``, ``imp ::= corner [-> imp]``, ``corner ::= disj
+[|> disj]``, ``disj ::= conj {| conj}``, ``conj ::= prefix {& prefix}``,
+``prefix ::= op prefix | atom | (iff)``.  The loop holds the finished
+operands, the pending binary operators (a 0 opens each group ``( [ <``)
+and the prefixes waiting for the next operand.  An operator of strength
+``s`` first applies every pending one stronger than ``s``, and an equal
+one if ``s`` groups left, so within a group the pending strengths rise
+strictly but for runs of ``->``.  Hence an operator, when applied, joins
+the maximal spans beside it whose operators bind more strongly, or as
+strongly on the side it groups to: the subtree its grammar rule builds.
+A complete operand takes its prefixes innermost first, as ``prefix``
+nests.
+
+Errors are raised at the token where a left-to-right descent of that
+grammar detects them, with the same class, message and position: a
+second ``<->`` or ``|>`` in one span; ``|>`` in ``conwon`` and
+``box``/``dia`` in ``v`` at once; ``[``/``<`` in ``v`` and a modal
+antecedent in ``conwon`` at the closing bracket; a modal argument of
+``E``/``A`` in ``conwon`` once that argument is complete.  A character
+that begins no token, anywhere in the text, is reported before all these.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 import weakref
 from typing import Dict, Iterator, NamedTuple
 
@@ -59,7 +93,6 @@ class _Ref(weakref.ref):
 
 
 _INTERNED: Dict[tuple, _Ref] = {}  # (class, *fields) -> the live node
-_set = object.__setattr__
 
 
 def _forget(ref: _Ref) -> None:
@@ -70,14 +103,14 @@ def _forget(ref: _Ref) -> None:
 def _make(key: tuple, depth: int, closed: bool, size: int) -> "Formula":
     """A new node for ``key``, entered in the intern table."""
     node = object.__new__(key[0])
-    fields = key[0].__slots__  # at most two; unrolled, as every new node comes here
-    if fields:
-        _set(node, fields[0], key[1])
-        if len(fields) > 1:
-            _set(node, fields[1], key[2])
-    _set(node, "depth", depth)
-    _set(node, "closed", closed)
-    _set(node, "size", size)
+    stores = _STORES[key[0]]  # at most two; unrolled, as every new node comes here
+    if stores:
+        stores[0](node, key[1])
+        if len(stores) > 1:
+            stores[1](node, key[2])
+    _store_depth(node, depth)
+    _store_closed(node, closed)
+    _store_size(node, size)
     ref = _INTERNED[key] = _Ref(node, _forget)
     ref.key = key
     return node
@@ -179,6 +212,12 @@ class CondCorner(Formula):
         return ref and ref() or _make(key, 1 + max(left.depth, right.depth), True,
                                       1 + left.size + right.size)
 
+
+# The slot descriptors' own stores: they bypass Formula.__setattr__, which refuses every write.
+_STORES = {cls: tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+           for cls in (Atom, Falsum, Not, And, CondBox, CondCorner)}
+_store_depth, _store_closed, _store_size = (getattr(Formula, name).__set__
+                                            for name in ("depth", "closed", "size"))
 
 FALSUM = Falsum()
 TRUE = Not(FALSUM)
@@ -284,266 +323,214 @@ def dialect_of(f: Formula) -> str:
 def translate_flat(f: Formula, target: str) -> Formula:
     """Swap the two conditional kinds on a flat formula.
 
-    Both arguments of every conditional must be propositional; the
-    boolean skeleton is preserved verbatim.
+    Both arguments of every conditional are propositional (the formula
+    is flat); the boolean skeleton is preserved verbatim.  One pass over
+    the DAG, children first, without recursion.
     """
     if target not in DIALECTS:
         raise ValueError(f"unknown dialect: {target}")
     if not is_flat(f):
         raise ValueError("translate_flat requires a flat formula")
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, (Atom, Falsum)):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.child))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, CondBox):
-            if target == CONWON:
-                return g
-            return CondCorner(g.antecedent, g.consequent)
-        if isinstance(g, CondCorner):
-            if not is_propositional(g.left) or not is_propositional(g.right):
-                raise ValueError("conditional arguments must be propositional")
-            if target == V:
-                return g
-            return CondBox(g.left, g.right)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-_KEYWORDS = {"false", "true", "box", "dia"}
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            yield _Token("<->", "<->", i)
-            i += 3
-        elif text.startswith("->", i):
-            yield _Token("->", "->", i)
-            i += 2
-        elif text.startswith("|>", i):
-            yield _Token("|>", "|>", i)
-            i += 2
-        elif c in "~&|[]<>()":
-            yield _Token(c, c, i)
-            i += 1
-        elif c == "⊥":  # the falsum glyph, alias for "false"
-            yield _Token("false", c, i)
-            i += 1
-        elif c in ("E", "A"):
-            yield _Token(c, c, i)
-            i += 1
-        elif c.islower():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            yield _Token(kind, word, i)
-            i = j
+    cond = CondBox if target == CONWON else CondCorner
+    done: Dict[Formula, Formula] = {}
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if not g.depth:
+            done[g] = g
+        elif type(g) is Not or type(g) is And:
+            parts = g.children()
+            missing = [c for c in parts if c not in done]
+            if missing:
+                todo += missing
+                continue
+            done[g] = type(g)(*(done[c] for c in parts))
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    yield _Token("eof", "", n)
+            done[g] = cond(*g.children())
+        todo.pop()
+    return done[f]
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# One match per token: a word (identifier, keyword or a run of E/A), an
+# arrow, the corner, or any other non-space character.  ``\w`` is
+# ``isalnum()`` or "_"; U+0345 and U+24D0-U+24E9 are the lowercase code
+# points outside it.
+_TOKEN = re.compile(r"[\w\u0345\u24d0-\u24e9]\w*|<?->|\|>|\S")
+_BINARY = {"<->": 1, "->": 2, "|>": 3, "|": 4, "&": 5}  # binding strength, loosest first
+_BUILD = (None, Iff, Implies, CondCorner, Or, And)
+# A prefix is (constructor, antecedent or None, None or where an argument check fails).
+_NOT = (Not, None, None)
+# What may start an operand, beside identifiers and E/A: prefixes, groups (by their
+# closing token) and constants.
+_OPERAND = {"~": _NOT, "box": (CondBox, TRUE, None), "dia": (CondDia, TRUE, None),
+            "(": ")", "[": "]", "<": ">", "false": FALSUM, "⊥": FALSUM, "true": TRUE}
+_WORLD = {CONWON: {"E": SomeWorld, "A": EveryWorld}, V: {"E": PossiblyV, "A": NecessarilyV}}
+_SYMBOLS = {*_BINARY, *_OPERAND, ")", "]", ">"}  # every token but identifiers and E/A runs
 
-class _Parser:
-    def __init__(self, text: str, dialect: str):
-        if dialect not in DIALECTS:
-            raise ValueError(f"unknown dialect: {dialect}")
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.dialect = dialect
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+def _unreadable(text: str) -> Iterator[int]:
+    """Positions of the characters that begin no token, in order."""
+    for match in _TOKEN.finditer(text):
+        word = match.group()
+        rest = word.lstrip("EA")
+        if rest and not rest[0].islower() and word not in _SYMBOLS:
+            yield match.end() - len(rest)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
+def _fail(text: str, message: str, index: int, offset: int = 0, error: type = ParseError):
+    """Raise ``error(message)`` at token ``index`` (``offset`` characters in).
 
-    def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return f
+    A character that begins no token means the text has no token sequence
+    at all, so the first one, wherever it is, is reported instead.
+    """
+    for at in _unreadable(text):
+        raise ParseError(f"unexpected character {text[at]!r}", at)
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None), None)
+    raise error(message, match.start() + offset if match else len(text))
 
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek().kind == "<->":
-            self.next()
-            right = self.imp()
-            if self.peek().kind == "<->":
-                tok = self.peek()
-                raise ParseError("'<->' is non-associative; parenthesize", tok.pos)
-            return Iff(left, right)
-        return left
 
-    def imp(self) -> Formula:
-        left = self.corner()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.imp())
-        return left
+def _reduce(args: list, ops: list, floor: int) -> None:
+    """Apply the pending binary operators that bind more strongly than ``floor``."""
+    while ops[-1] > floor:
+        right = args.pop()
+        args[-1] = _BUILD[ops.pop()](args[-1], right)
 
-    def corner(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "|>":
-            tok = self.next()
-            if self.dialect != V:
-                raise DialectError("'|>' is not part of the conwon dialect", tok.pos)
-            right = self.disj()
-            if self.peek().kind == "|>":
-                raise ParseError("'|>' is non-associative; parenthesize", self.peek().pos)
-            return CondCorner(left, right)
-        return left
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.prefix()
-        while self.peek().kind == "&":
-            self.next()
-            f = And(f, self.prefix())
-        return f
-
-    def _cond(self, antecedent: Formula, tok: _Token) -> Formula:
-        if self.dialect != CONWON:
-            raise DialectError(f"{tok.text!r} is not part of the v dialect", tok.pos)
-        if not is_propositional(antecedent):
-            raise DialectError("conditional antecedent must be propositional", tok.pos)
-        return antecedent
-
-    def prefix(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return Not(self.prefix())
-        if tok.kind == "[":
-            self.next()
-            antecedent = self.iff()
-            self.expect("]")
-            return CondBox(self._cond(antecedent, tok), self.prefix())
-        if tok.kind == "<":
-            self.next()
-            antecedent = self.iff()
-            self.expect(">")
-            return CondDia(self._cond(antecedent, tok), self.prefix())
-        if tok.kind == "box":
-            self.next()
-            self._cond(TRUE, tok)
-            return CondBox(TRUE, self.prefix())
-        if tok.kind == "dia":
-            self.next()
-            self._cond(TRUE, tok)
-            return CondDia(TRUE, self.prefix())
-        if tok.kind == "E":
-            self.next()
-            arg = self.prefix()
-            if self.dialect == V:
-                return PossiblyV(arg)
-            if not is_propositional(arg):
-                raise DialectError("argument of 'E' must be propositional", tok.pos)
-            return SomeWorld(arg)
-        if tok.kind == "A":
-            self.next()
-            arg = self.prefix()
-            if self.dialect == V:
-                return NecessarilyV(arg)
-            if not is_propositional(arg):
-                raise DialectError("argument of 'A' must be propositional", tok.pos)
-            return EveryWorld(arg)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "ident":
-            return Atom(tok.text)
-        if tok.kind == "false":
-            return FALSUM
-        if tok.kind == "true":
-            return TRUE
-        if tok.kind == "(":
-            f = self.iff()
-            self.expect(")")
-            return f
-        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
+def _prefixed(pre: list, f: Formula, text: str, words: list) -> Formula:
+    """``f`` under the pending prefixes ``pre``, innermost (last) first; ``pre`` ends empty."""
+    while pre:
+        build, antecedent, where = pre.pop()
+        if antecedent is not None:
+            f = build(antecedent, f)
+        elif where is None or not f.depth:
+            f = build(f)
+        else:
+            i, k = where
+            _fail(text, f"argument of {words[i][k]!r} must be propositional", i, k, DialectError)
+    return f
 
 
 def parse_formula(text: str, dialect: str = CONWON) -> Formula:
     """Parse ``text`` into a desugared core formula of ``dialect``."""
-    return _Parser(text, dialect).parse()
+    if dialect not in DIALECTS:
+        raise ValueError(f"unknown dialect: {dialect}")
+    v = dialect == V
+    world = _WORLD[dialect]
+    words = _TOKEN.findall(text)
+    args: list = []  # finished operands
+    ops = [0]  # pending binary operators by binding strength; a 0 opens each group
+    groups: list = []  # per open group: (its closing token, the prefixes before it, its index)
+    pre: list = []  # prefixes waiting for the next operand
+    operand = True  # whether an operand comes next
+    for i, s in enumerate(words):
+        if operand:
+            item = _OPERAND.get(s)
+            if item is None and s[0] in "EA":  # E and A are one-character tokens: "EAp" is E A p
+                rest = s.lstrip("EA")
+                for k in range(len(s) - len(rest)):
+                    pre.append((world[s[k]], None, None if v else (i, k)))
+                if not rest:
+                    continue
+                s = rest
+                item = _OPERAND.get(s)
+            if item is None:
+                if not s[0].islower():
+                    _fail(text, f"expected a formula, found {s!r}", i)
+                item = Atom(s)
+            elif type(item) is str:
+                groups.append((item, pre, i))
+                ops.append(0)
+                pre = []
+                continue
+            elif type(item) is tuple:
+                if v and item is not _NOT:
+                    _fail(text, f"{s!r} is not part of the v dialect", i, len(words[i]) - len(s), DialectError)
+                pre.append(item)
+                continue
+            args.append(_prefixed(pre, item, text, words) if pre else item)
+            operand = False
+            continue
+        p = _BINARY.get(s)
+        if p:
+            if p == 3 and not v:
+                _fail(text, "'|>' is not part of the conwon dialect", i, 0, DialectError)
+            _reduce(args, ops, p - 1 if p > 3 else p)  # "|" and "&" group to the left
+            if ops[-1] == p != 2:  # "->" groups to the right, "<->" and "|>" not at all
+                _fail(text, f"{s!r} is non-associative; parenthesize", i)
+            ops.append(p)
+            operand = True
+            continue
+        if not groups or groups[-1][0] != s:
+            found = s[0] if s[0] in "EA" else s
+            _fail(text, f"expected {groups[-1][0]!r}, found {found!r}" if groups
+                  else f"unexpected {found!r}", i)
+        _reduce(args, ops, 0)
+        ops.pop()
+        _, pre, j = groups.pop()
+        if s == ")":
+            if pre:
+                args[-1] = _prefixed(pre, args[-1], text, words)
+            continue
+        antecedent = args.pop()
+        if v:
+            _fail(text, f"{words[j]!r} is not part of the v dialect", j, 0, DialectError)
+        if antecedent.depth:
+            _fail(text, "conditional antecedent must be propositional", j, 0, DialectError)
+        pre.append((CondBox if s == "]" else CondDia, antecedent, None))
+        operand = True
+    if operand:
+        _fail(text, "expected a formula, found 'end of input'", len(words))
+    if groups:
+        _fail(text, f"expected {groups[-1][0]!r}, found 'end of input'", len(words))
+    _reduce(args, ops, 0)
+    return args[0]
 
 
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
 
-# Precedence levels for the core printer: 4 atoms, 3 prefix, 2 "&", 1 "|>".
-_PREC_ATOM = 4
-_PREC_PREFIX = 3
-_PREC_AND = 2
-_PREC_CORNER = 1
-_PREC = {Atom: _PREC_ATOM, Falsum: _PREC_ATOM, Not: _PREC_PREFIX, CondBox: _PREC_PREFIX,
-         And: _PREC_AND, CondCorner: _PREC_CORNER}
-
-
-def _render(f: Formula, need: int) -> str:
-    if isinstance(f, Atom):
-        s = f.name
-    elif isinstance(f, Falsum):
-        s = "false"
-    elif isinstance(f, Not):
-        s = "~" + _render(f.child, _PREC_PREFIX)
-    elif isinstance(f, CondBox):
-        s = f"[{_render(f.antecedent, 0)}] " + _render(f.consequent, _PREC_PREFIX)
-    elif isinstance(f, And):
-        s = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-    elif isinstance(f, CondCorner):
-        s = _render(f.left, _PREC_CORNER + 1) + " |> " + _render(f.right, _PREC_CORNER + 1)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if _PREC[type(f)] < need:
-        return f"({s})"
-    return s
+# Binding strength of each node kind as printed: a child weaker than its
+# slot needs is parenthesised.
+_PREC = {Atom: 4, Falsum: 4, Not: 3, CondBox: 3, And: 2, CondCorner: 1}
 
 
 def render(f: Formula) -> str:
-    """Core-syntax text for ``f``; ``parse_formula(render(f))`` equals ``f``."""
-    return _render(f, 0)
+    """Core-syntax text for ``f``; ``parse_formula(render(f))`` equals ``f``.
+
+    One loop over a stack of what is still to print, nodes and text
+    pieces (operators, closing parentheses), next on top.
+    """
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    out: list = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is str:
+            out.append(g)
+        elif kind is Atom:
+            out.append(g.name)
+        elif kind is Falsum:
+            out.append("false")
+        elif kind is Not:
+            out.append("~")
+            g = g.child
+            todo += (")", g, "(") if _PREC[type(g)] < 3 else (g,)
+        elif kind is CondBox:
+            out.append("[")
+            g, antecedent = g.consequent, g.antecedent
+            todo += (")", g, "(") if _PREC[type(g)] < 3 else (g,)
+            todo += ("] ", antecedent)
+        else:  # And or CondCorner; the right operand goes on first, to come off last
+            right = g.right
+            todo += (")", right, "(") if _PREC[type(right)] < (3 if kind is And else 2) else (right,)
+            todo.append(" & " if kind is And else " |> ")
+            g = g.left
+            todo += (")", g, "(") if _PREC[type(g)] < 2 else (g,)
+    return "".join(out)

@@ -4,8 +4,10 @@ Random formula generation is deterministic (callers pass a seeded
 ``random.Random``) so failures reproduce. The exhaustive model and
 context enumerators, and the bitmask forms of the expected set
 (:func:`e_mask`) and of a context's chain (:func:`context_chain`), serve
-only as brute-force references, and :func:`invoke` runs the CLI in this
-process.
+only as brute-force references; :func:`reference_parse` and
+:func:`reference_render` are the recursive parser and printer that
+``conwon.formula`` replaced with loops, kept to compare against; and
+:func:`invoke` runs the CLI in this process.
 """
 
 import contextlib
@@ -16,14 +18,28 @@ from typing import FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from conwon.cli import main
 from conwon.formula import (
+    CONWON,
+    DIALECTS,
+    FALSUM,
+    TRUE,
+    V,
     And,
     Atom,
     CondBox,
     CondCorner,
-    FALSUM,
+    CondDia,
+    DialectError,
+    EveryWorld,
+    Falsum,
     Formula,
+    Iff,
+    Implies,
+    NecessarilyV,
     Not,
     Or,
+    ParseError,
+    PossiblyV,
+    SomeWorld,
     is_propositional,
 )
 from conwon.lewis import PseudoSphereModelV
@@ -197,3 +213,228 @@ def invoke(argv: Sequence[str]) -> Result:
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return Result(code, out.getvalue(), err.getvalue(), both.getvalue())
+
+
+# --- reference parser and printer ---------------------------------------------
+# A character-by-character tokenizer, a recursive descent with one method
+# per precedence level, and a recursive printer.
+
+
+_KEYWORDS = {"false", "true", "box", "dia"}
+
+
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            yield _Token("<->", "<->", i)
+            i += 3
+        elif text.startswith("->", i):
+            yield _Token("->", "->", i)
+            i += 2
+        elif text.startswith("|>", i):
+            yield _Token("|>", "|>", i)
+            i += 2
+        elif c in "~&|[]<>()":
+            yield _Token(c, c, i)
+            i += 1
+        elif c == "⊥":  # the falsum glyph, alias for "false"
+            yield _Token("false", c, i)
+            i += 1
+        elif c in ("E", "A"):
+            yield _Token(c, c, i)
+            i += 1
+        elif c.islower():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = word if word in _KEYWORDS else "ident"
+            yield _Token(kind, word, i)
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    yield _Token("eof", "", n)
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, dialect: str):
+        if dialect not in DIALECTS:
+            raise ValueError(f"unknown dialect: {dialect}")
+        self.tokens = list(_tokenize(text))
+        self.pos = 0
+        self.dialect = dialect
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        return self.next()
+
+    def parse(self) -> Formula:
+        f = self.iff()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        return f
+
+    def iff(self) -> Formula:
+        left = self.imp()
+        if self.peek().kind == "<->":
+            self.next()
+            right = self.imp()
+            if self.peek().kind == "<->":
+                tok = self.peek()
+                raise ParseError("'<->' is non-associative; parenthesize", tok.pos)
+            return Iff(left, right)
+        return left
+
+    def imp(self) -> Formula:
+        left = self.corner()
+        if self.peek().kind == "->":
+            self.next()
+            return Implies(left, self.imp())
+        return left
+
+    def corner(self) -> Formula:
+        left = self.disj()
+        if self.peek().kind == "|>":
+            tok = self.next()
+            if self.dialect != V:
+                raise DialectError("'|>' is not part of the conwon dialect", tok.pos)
+            right = self.disj()
+            if self.peek().kind == "|>":
+                raise ParseError("'|>' is non-associative; parenthesize", self.peek().pos)
+            return CondCorner(left, right)
+        return left
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek().kind == "|":
+            self.next()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.prefix()
+        while self.peek().kind == "&":
+            self.next()
+            f = And(f, self.prefix())
+        return f
+
+    def _cond(self, antecedent: Formula, tok: _Token) -> Formula:
+        if self.dialect != CONWON:
+            raise DialectError(f"{tok.text!r} is not part of the v dialect", tok.pos)
+        if not is_propositional(antecedent):
+            raise DialectError("conditional antecedent must be propositional", tok.pos)
+        return antecedent
+
+    def prefix(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "~":
+            self.next()
+            return Not(self.prefix())
+        if tok.kind == "[":
+            self.next()
+            antecedent = self.iff()
+            self.expect("]")
+            return CondBox(self._cond(antecedent, tok), self.prefix())
+        if tok.kind == "<":
+            self.next()
+            antecedent = self.iff()
+            self.expect(">")
+            return CondDia(self._cond(antecedent, tok), self.prefix())
+        if tok.kind == "box":
+            self.next()
+            self._cond(TRUE, tok)
+            return CondBox(TRUE, self.prefix())
+        if tok.kind == "dia":
+            self.next()
+            self._cond(TRUE, tok)
+            return CondDia(TRUE, self.prefix())
+        if tok.kind == "E":
+            self.next()
+            arg = self.prefix()
+            if self.dialect == V:
+                return PossiblyV(arg)
+            if not is_propositional(arg):
+                raise DialectError("argument of 'E' must be propositional", tok.pos)
+            return SomeWorld(arg)
+        if tok.kind == "A":
+            self.next()
+            arg = self.prefix()
+            if self.dialect == V:
+                return NecessarilyV(arg)
+            if not is_propositional(arg):
+                raise DialectError("argument of 'A' must be propositional", tok.pos)
+            return EveryWorld(arg)
+        return self.atom()
+
+    def atom(self) -> Formula:
+        tok = self.next()
+        if tok.kind == "ident":
+            return Atom(tok.text)
+        if tok.kind == "false":
+            return FALSUM
+        if tok.kind == "true":
+            return TRUE
+        if tok.kind == "(":
+            f = self.iff()
+            self.expect(")")
+            return f
+        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
+
+
+def reference_parse(text: str, dialect: str = CONWON) -> Formula:
+    return _ReferenceParser(text, dialect).parse()
+
+
+# Precedence levels for the core printer: 4 atoms, 3 prefix, 2 "&", 1 "|>".
+_PREC_ATOM = 4
+_PREC_PREFIX = 3
+_PREC_AND = 2
+_PREC_CORNER = 1
+_PREC = {Atom: _PREC_ATOM, Falsum: _PREC_ATOM, Not: _PREC_PREFIX, CondBox: _PREC_PREFIX,
+         And: _PREC_AND, CondCorner: _PREC_CORNER}
+
+
+def _render(f: Formula, need: int) -> str:
+    if isinstance(f, Atom):
+        s = f.name
+    elif isinstance(f, Falsum):
+        s = "false"
+    elif isinstance(f, Not):
+        s = "~" + _render(f.child, _PREC_PREFIX)
+    elif isinstance(f, CondBox):
+        s = f"[{_render(f.antecedent, 0)}] " + _render(f.consequent, _PREC_PREFIX)
+    elif isinstance(f, And):
+        s = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
+    elif isinstance(f, CondCorner):
+        s = _render(f.left, _PREC_CORNER + 1) + " |> " + _render(f.right, _PREC_CORNER + 1)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if _PREC[type(f)] < need:
+        return f"({s})"
+    return s
+
+
+def reference_render(f: Formula) -> str:
+    return _render(f, 0)

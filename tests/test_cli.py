@@ -325,13 +325,23 @@ def test_compare_v_rejects_nested():
     assert "Traceback" not in result.output
 
 
+def test_deep_flat_formulas_exit_0():
+    # the parser and the printer are loops: nesting is bounded by memory only
+    for count in (1_500, 100_000):
+        formula = " & ".join(["p"] * count)
+        for command in (["parse", formula], ["reduce", "--formula", formula]):
+            result = invoke(command)
+            assert result.exit_code == 0, (command[0], count)
+            assert result.stdout.splitlines()[0] == formula  # the canonical form: it round-trips
+
+
 def test_deep_nesting_exit_2():
-    formula = " & ".join(["p"] * 1500)
-    for command in (["parse", formula], ["reduce", "--formula", formula]):
-        result = invoke(command)
-        assert result.exit_code == 2, command[0]
-        assert result.stderr == "error: formula is nested too deeply\n"
-        assert "Traceback" not in result.output
+    # sigma still recurses once per disjunct of a deep disjunction of conditionals
+    formula = " | ".join(["[p]q"] * 3000)
+    result = invoke(["reduce", "--formula", formula])
+    assert result.exit_code == 2
+    assert result.stderr == "error: formula is nested too deeply\n"
+    assert "Traceback" not in result.output
 
 
 # --- check-proof ----------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from conwon.formula import (
     DialectError,
     FALSUM,
     Falsum,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -32,7 +34,7 @@ from conwon.formula import (
     render,
     translate_flat,
 )
-from conftest import random_formula
+from conftest import random_formula, reference_parse, reference_render
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -194,6 +196,111 @@ def test_and_rendering_keeps_association():
     assert render(And(p, And(q, r))) == "p & (q & r)"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["conwon", "v"]))
+def test_render_matches_reference(seed, dialect):
+    rng = random.Random(seed)
+    f = random_formula(rng, ("p", "q", "r"), modal_budget=3, size=5, dialect=dialect)
+    f = And(Not(f), CondCorner(f, f) if dialect == "v" else CondBox(p, f))
+    assert render(f) == reference_render(f)
+
+
+# --- the parser against the recursive-descent reference --------------------
+
+
+def _outcome(parse, text, dialect):
+    """The parsed node, or the exception's class, message and position."""
+    try:
+        return parse(text, dialect)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _assert_same_outcome(text):
+    for dialect in ("conwon", "v"):
+        got, want = _outcome(parse_formula, text, dialect), _outcome(reference_parse, text, dialect)
+        assert got is want if isinstance(want, Formula) else got == want, (text, dialect)
+
+
+# The lowercase code points that regex \w does not match: they start identifiers too.
+LOWER_OUTSIDE_W = ["\u0345"] + [chr(c) for c in range(0x24D0, 0x24EA)]
+TRAPS = ["Ep", "pE", "EAp", "Etrue", "E_", "<-p", "⊥", "\u00a0", "9", "_a", "B"]
+SOUP = (["p", "q", "x_1", "true", "false", "box", "dia", "E", "A", "Ebox", "AE", "-", "@", "ß", "p\u0345"]
+        + ["~", "&", "|", "|>", "->", "<->", "(", ")", "[", "]", "<", ">", "<-"]
+        + TRAPS + LOWER_OUTSIDE_W)
+
+
+@pytest.mark.parametrize("text", TRAPS + LOWER_OUTSIDE_W + [
+    "", " ", "E", "EA", "E p", "p E", "EE[p]q", "A[p]q", "Edia p", "Ebox p", "p q @", "(p]", "[p",
+    "p <-> q <-> r", "p -> q |> r |> s", "p |> q", "[[p]q]r", "<p>q", "~(p & q |> r)", "ⓐb & ⓩ"])
+def test_parser_matches_reference_on_traps(text):
+    _assert_same_outcome(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SOUP), max_size=12), st.sampled_from(["", " ", "\u00a0"]))
+def test_parser_matches_reference_on_token_soups(tokens, separator):
+    _assert_same_outcome(separator.join(tokens))
+
+
+def _sugared(children):
+    """Sugared formula text built from smaller formula texts."""
+    prefix = st.sampled_from(["~", "E ", "A", "box ", "dia ", "~~"])
+    infix = st.sampled_from([" & ", " | ", " -> ", " <-> ", " |> ", "&", "->"])
+    return st.one_of(
+        st.tuples(prefix, children).map("".join),
+        st.tuples(children, infix, children).map("".join),
+        st.tuples(children, infix, children).map(lambda t: f"({''.join(t)})"),
+        st.tuples(children, children).map(lambda t: f"[{t[0]}] {t[1]}"),
+        st.tuples(children, children).map(lambda t: f"<{t[0]}>{t[1]}"),
+    )
+
+
+SUGARED = st.recursive(st.sampled_from(["p", "q", "r1", "true", "false", "⊥", "ⓐ"]), _sugared, max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(SUGARED, st.integers(min_value=0, max_value=80), st.sampled_from(["", "", "(", ")", "]", "|>", "E", "9", " ~"]))
+def test_parser_matches_reference_on_sugared_formulas(text, cut, insert):
+    _assert_same_outcome(text)
+    _assert_same_outcome(text[:cut] + insert + text[cut + 1:])  # one character replaced or deleted
+
+
+def test_character_classes_over_all_code_points():
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    space = "".join(c for c in chars if c.isspace())
+    lower = [c for c in chars if c.islower()]
+    # whitespace: exactly the isspace() characters separate tokens and are dropped
+    assert formula._TOKEN.sub("", chars) == space
+    assert parse_formula(f"{space}p{space}&{space}q{space}") is And(p, q)
+    # identifier start: each lowercase character is an atom on its own; every other
+    # character but space, the operators, E, A and ⊥ is rejected
+    assert atoms(parse_formula(" & ".join(lower))) == set(lower)
+    spaced = " ".join(chars)
+    accepted = set(chars).difference(map(spaced.__getitem__, formula._unreadable(spaced)))
+    assert accepted == set(lower).union(space, "~&|[]<>()EA⊥")
+    # identifier continuation: exactly isalnum() or "_"
+    continuing = {c for c in chars if c.isalnum() or c == "_"}
+    words = formula._TOKEN.findall("a" + "a".join(chars))
+    assert set("".join(word[1:] for word in words)) == continuing
+    name = "a" + "".join(sorted(continuing))
+    assert parse_formula(name) is Atom(name)
+
+
+# --- nesting bounded by memory only ------------------------------------------
+
+
+def test_deep_nesting_parses_and_renders():
+    deep = ["~" * 5_000 + "p", "(" * 3_000 + "p" + ")" * 3_000, "[p]" * 2_000 + "q",
+            " & ".join(["p"] * 20_000), "p -> " * 3_000 + "q", "(p |> " * 2_000 + "q" + ")" * 2_000]
+    for text in deep:
+        dialect = "v" if "|>" in text else "conwon"
+        f = parse_formula(text, dialect)
+        assert parse_formula(render(f), dialect) is f
+    assert render(parse_formula("~" * 5_000 + "p")) == "~" * 5_000 + "p"
+    assert modal_depth(parse_formula("[p]" * 2_000 + "q")) == 2_000
+
+
 # --- flat translation -----------------------------------------------------
 
 
@@ -206,6 +313,14 @@ def test_translate_flat_round_trip():
         g = translate_flat(f, "v")
         assert dialect_of(g) in ("v", "conwon")
         assert translate_flat(g, "conwon") == f
+
+
+def test_translate_flat_on_a_long_formula():
+    f = parse_formula(" & ".join(["[p]q", "~[q](p | r)", "s"] * 1_700))
+    g = translate_flat(f, "v")
+    assert dialect_of(g) == "v" and g.size == f.size
+    assert translate_flat(g, "conwon") is f
+    assert translate_flat(f, "conwon") is f and translate_flat(g, "v") is g
 
 
 def test_translate_flat_rejects_deep_input():
