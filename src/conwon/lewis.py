@@ -33,6 +33,7 @@ from .formula import (
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
 from .semantics import (
+    MAX_ENUMERATION,
     CompiledFormula,
     ContextualizedPointedModel,
     EvaluationError,
@@ -293,14 +294,15 @@ def ordered_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str],
                 yield (chosen,) + tail
 
 
-def satisfying_witness_v(f: Formula, max_worlds: int) -> Optional[Tuple[PseudoSphereModelV, str]]:
+def satisfying_witness_v(f: Formula, max_worlds: int,
+                         max_enumeration: int = MAX_ENUMERATION) -> Optional[Tuple[PseudoSphereModelV, str]]:
     """First pseudo-sphere point satisfying ``f``, if any.
 
     The chain kernel over every chain, i.e. every ordered partition read as
     spheres; the witness is re-checked with :func:`eval_v`.
     """
     compiled = CompiledFormula(f)
-    bounds = SearchBounds(max_worlds, max_worlds)
+    bounds = SearchBounds(max_worlds, max_worlds, max_enumeration)
     [witness] = search_points(compiled, [(compiled.root,)], bounds, lambda masks, full: masks[0])
     return v_witness(f, witness)
 
@@ -370,7 +372,7 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
     f_v = translate_flat(f_conwon, "v")
 
     conwon_wit = satisfying_witness(f_conwon, bounds)
-    v_wit = satisfying_witness_v(f_v, bounds.max_worlds)
+    v_wit = satisfying_witness_v(f_v, bounds.max_worlds, bounds.max_enumeration)
     report = EquivalenceReport(
         formula=render(f_conwon),
         conwon_satisfiable=conwon_wit is not None,

@@ -12,6 +12,7 @@ must be flat.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -25,6 +26,7 @@ from .formula import (
     Falsum,
     Formula,
     Not,
+    Or,
     ParseError,
     atoms,
     parse_formula,
@@ -393,10 +395,11 @@ _CLOSED_POOL = ("[p]q", "~[p]q", "E p")
 
 
 class SweepReport(Record):
-    __slots__ = ("system", "instances", "failures")
+    __slots__ = ("system", "instances", "failures", "nodes", "blocks")  # DAG nodes lowered, evaluator blocks run
 
-    def __init__(self, system: str, instances: int = 0, failures: Optional[List[str]] = None):
-        self._assign(system, instances, [] if failures is None else failures)
+    def __init__(self, system: str, instances: int = 0, failures: Optional[List[str]] = None, nodes: int = 0,
+                 blocks: int = 0):
+        self._assign(system, instances, [] if failures is None else failures, nodes, blocks)
 
     @property
     def ok(self) -> bool:
@@ -421,21 +424,36 @@ def sweep_substitutions(system: str) -> Iterator[Tuple[Schema, List[Dict[str, Fo
 def soundness_sweep(system: str, bounds) -> SweepReport:
     """Search for countermodels to axiom instances, one search per schema; failures falsify soundness.
 
-    Each instance is lowered from the schema's template under its
-    substitution; only an instance with a countermodel is built, to
+    A schema's instances alike in atoms and in having conditionals are one
+    multiplexed formula, searched side by side (``semantics``, Instances
+    side by side); only an instance with a countermodel is built, to
     re-check the witness.
     """
     from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
     from .lewis import v_witness
 
     dialect = SYSTEMS[system]["dialect"]
-    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds) if dialect == "v" else bounds
-    report = SweepReport(system)
+    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds, bounds.max_enumeration) if dialect == "v" else bounds
+    report, atoms_of = SweepReport(system), functools.lru_cache(maxsize=None)(atoms)
     for schema, substs in sweep_substitutions(system):
-        compiled = CompiledFormula()
-        queries = [(compiled.add(schema.template, subst),) for subst in substs]
+        names: Dict[Tuple[str, Formula], str] = {}  # (metavariable, formula) -> its selector atom
+        selected = [frozenset([names.get(vf) or names.setdefault(vf, f"{vf[0]}#{len(names)}") for vf in s.items()])
+                    for s in substs]
+        keys = [(frozenset().union(*map(atoms_of, s.values())), schema.template.depth > 0
+                 or any(f.depth for f in s.values())) for s in substs]
+        groups: Dict[tuple, set] = {}  # instances alike in atoms and in having conditionals -> their selectors
+        for key, on in zip(keys, selected):
+            groups.setdefault(key, set()).update(on)
+        compiled, roots = CompiledFormula(), {}
+        for key, on in groups.items():  # v: (f1 & v#1) | ... | (fm & v#m) over the fi the group puts at v
+            mux = {v: functools.reduce(Or, [And(f, Atom(b)) for (u, f), b in names.items() if u == v and b in on])
+                   for v in substs[0]}
+            roots[key] = (compiled.add(instantiate(schema, mux)),)
+        witnesses = search_points(compiled, [roots[key] for key in keys], bounds, falsified, selected)
         report.instances += len(substs)
-        for subst, witness in zip(substs, search_points(compiled, queries, bounds, falsified)):
+        report.nodes += len(compiled.nodes)
+        report.blocks += compiled.blocks
+        for subst, witness in zip(substs, witnesses):
             if witness is None:
                 continue
             instance = instantiate(schema, subst)

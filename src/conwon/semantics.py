@@ -63,21 +63,21 @@ a & S_j.  By induction each segment's masks are its valuation's alone.
 The order stays |W|, valuation, chain: a block gives each query its
 lowest segment that any chain picks, at the first chain that picks it.
 
-Templates.  ``CompiledFormula.add(t, subst)`` walks a template t once into
-a program: its subformulas (positions) children first and, for its root and
-each box consequent, the positions a pass there meets.  An instance replays
-it: an atom takes its substitution's node, any other position one hash-cons
-lookup on (op, child nodes).  Nodes are keyed on (op, child nodes) alone and
-substitution is simultaneous, so by induction each position gets its
-subformula's node in the built instance.  A pass meets the met positions'
-nodes and, below a met leaf, those the leaf's own pass meets; no child is
-deeper than its parent, so the non-propositional ones but ``~``, each such
-leaf replaced by its plan, are exactly the instance's plan, children first.
-
-Many queries, one search.  A query's points (|W| up to 2^k, valuations of
-its k atoms, chains up to its context bound) depend only on its atoms and
-on whether it has conditionals, so queries alike in both walk the same
-points in the same order and, searched together, each gets its own witness.
+Instances side by side.  The instances of a template t alike in atoms and
+in having conditionals, hence in their points, are searched as one formula:
+each metavariable v becomes the multiplexer (f1 & v#1) | ... | (fm & v#m),
+f1...fm the formulas they put at v, v#i fresh selector atoms ('#' is in
+no parsed name); its other atoms are then each instance's.  A block packs
+(instance, type set) pairs, each instance a run of segments, and v#i is
+all of instance j's segments if j puts f_i at v, none of them otherwise.
+So a selector is constant in each segment and there, under every chain,
+the multiplexer has the mask of the f_i its instance picks; a node's mask
+is read off its children's masks and the chain, so by induction on t each
+segment of instance j holds instance j's own masks, and the bit-slicing
+above applies as it stands.  Selectors are not enumerated and add no world
+or type: each instance meets its own points in its own order.  A block
+holds at most ``BLOCK_BITS // |W|`` pairs (at least one), cutting
+instances and type sets across blocks: no mask exceeds max(BLOCK_BITS, |W|).
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ import functools
 import itertools
 from collections import defaultdict
 from math import comb
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import FrozenRecord, InputError, Record
 from .formula import (
@@ -187,30 +187,6 @@ def set_walk(world_set: FrozenSet[str], extent: Callable[[str], FrozenSet[str]],
     return walk
 
 
-def _postorder(f: Formula, seen: Dict[Formula, Optional[int]], into_consequents: bool = True) -> List[Formula]:
-    """The subformulas of ``f`` not in ``seen``, each once, children first, left to right, each entered
-    in ``seen`` as None; without ``into_consequents``, none reached only through a box consequent."""
-    order, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if g is None:  # all of the next one's children are in order
-            order.append(stack.pop())
-        elif g not in seen:
-            cls = type(g)
-            if cls is And or cls is CondCorner:
-                stack += g, None, g.right, g.left
-            elif cls is Not:
-                stack += g, None, g.child
-            elif cls is CondBox:
-                stack += (g, None, g.consequent, g.antecedent) if into_consequents else (g, None, g.antecedent)
-            elif cls is Atom or cls is Falsum:
-                order.append(g)
-            else:  # only f can be one, as constructors read their children's depth: seen is unchanged
-                raise TypeError(f"not a formula: {g!r}")
-            seen[g] = None
-    return order
-
-
 def truth_set(model: Model, context: Optional[Context], f: Formula,
               trace: Optional[EvalTrace] = None) -> FrozenSet[str]:
     """The worlds where a desugared conwon formula holds at ``context``, each node walked once.
@@ -266,10 +242,12 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 
 Chain = Tuple[int, ...]
 
-# Most bits a block of valuations packs into one mask (at least one
-# valuation).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
+# Most bits a block of (query, valuation) pairs packs into one mask (at
+# least one pair).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
 # bytes plus an int's header; a block keeps one table per chain it meets.
 BLOCK_BITS = 512
+
+MAX_ENUMERATION = 50_000_000  # the default cap on the (valuation, chain) pairs of one search
 
 
 def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
@@ -312,44 +290,33 @@ class CompiledFormula:
         self._index: Dict[tuple, int] = {}
         self._lowered: Dict[Formula, int] = {}  # each formula added, and its subformulas -> node
         self._plans: Dict[int, List[tuple]] = {}
-        self._programs: Dict[Formula, tuple] = {}  # template -> (program, its atoms, plan root -> reach)
+        self.blocks = 0  # evaluator blocks searches have run over these nodes
         if f is not None:
             self.root = self.add(f)
 
-    def add(self, f: Formula, subst: Optional[Mapping[str, Formula]] = None) -> int:
-        """Lower ``f`` and return its node.
-
-        Atoms named in ``subst`` stand for their formulas, all at once, as in
-        ``proofs.instantiate``; the instance is never built (see Templates).
-        """
-        if subst is None:
-            if f not in self._lowered:
-                self._lower(_postorder(f, self._lowered), self._lowered)
-            return self._lowered[f]
-        if f not in self._programs:
-            order = _postorder(f, {})
-            roots = [f] + [g.consequent for g in order if type(g) is CondBox]
-            self._programs[f] = ([g for g in order if type(g) is not Atom], [g for g in order if type(g) is Atom],
-                                 {r: _postorder(r, {}, into_consequents=False) for r in roots})
-        program, leaves, plans = self._programs[f]
-        seen = {a: self.add(subst.get(a.name, a)) for a in leaves}  # template subformula -> node
-        self._lower(program, seen)
-        depths, bases = self.depths, self.bases
-        for r, reach in plans.items():
-            root = max(bases[seen[r]], ~bases[seen[r]])
-            if depths[root] and root not in self._plans:
-                steps: List[tuple] = []
-                for g in reach:
-                    i = seen[g]
-                    if depths[i] and type(g) is not Not:  # a leaf brings its own plan
-                        steps += self.plan(max(bases[i], ~bases[i])) if type(g) is Atom else (self._step(i),)
-                self._plans[root] = list(dict.fromkeys(steps))
-        return seen[f]
-
-    def _lower(self, order: List[Formula], seen: Dict[Formula, int]) -> None:
-        """Enter each formula of ``order`` in ``seen`` with its node; its children are in ``seen`` first."""
-        index, nodes, depths, bits, bases = self._index, self.nodes, self.depths, self.atom_bits, self.bases
-        for g in order:
+    def add(self, f: Formula) -> int:
+        """Lower ``f`` and return its node: each new subformula once, children first, left to right."""
+        seen, index, nodes, depths, bits, bases = (self._lowered, self._index, self.nodes, self.depths,
+                                                   self.atom_bits, self.bases)
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g is not None:  # met first: it waits under a None, in seen as None, until its children are lowered
+                if g not in seen:
+                    cls = type(g)
+                    if cls is And or cls is CondCorner:
+                        stack += g, None, g.right, g.left
+                    elif cls is Not:
+                        stack += g, None, g.child
+                    elif cls is CondBox:
+                        stack += g, None, g.consequent, g.antecedent
+                    elif cls is Atom or cls is Falsum:
+                        stack += g, None
+                    else:  # only f can be one, as constructors read their children's depth: seen is unchanged
+                        raise TypeError(f"not a formula: {g!r}")
+                    seen[g] = None
+                continue
+            g = stack.pop()
             cls = type(g)
             if cls is And or cls is CondCorner:
                 a, b = seen[g.left], seen[g.right]
@@ -374,6 +341,7 @@ class CompiledFormula:
                 if not depth:
                     self.prop_plan.append((idx, key[0], a, b if cls is And else 0))
             seen[g] = idx
+        return seen[f]
 
     def _step(self, i: int) -> tuple:
         op, a, b = self.nodes[i]
@@ -521,7 +489,7 @@ def mask_to_worlds(mask: int, worlds: Tuple[str, ...]) -> FrozenSet[str]:
 class SearchBounds(FrozenRecord):
     __slots__ = ("max_worlds", "max_context_len", "max_enumeration")
 
-    def __init__(self, max_worlds: int, max_context_len: int, max_enumeration: int = 50_000_000):
+    def __init__(self, max_worlds: int, max_context_len: int, max_enumeration: int = MAX_ENUMERATION):
         if max_worlds < 1 or max_context_len < 1:
             raise EvaluationError("bounds must be at least 1")
         self._assign(max_worlds, max_context_len, max_enumeration)
@@ -532,82 +500,93 @@ def search_points(
     queries: Sequence[Tuple[int, ...]],
     bounds: SearchBounds,
     select: Callable[[List[int], int], int],
+    selected: Optional[Sequence[FrozenSet[str]]] = None,
 ) -> List[Optional[ContextualizedPointedModel]]:
     """The one enumeration loop: for each query, the first point ``select`` picks, or ``None``.
 
-    A query is a tuple of roots in ``compiled``.  Goes over |W| (at most the
-    2^k types), canonical valuations and chains of length <= the context
-    bound (only the empty chain without conditionals), for each group of
-    queries with the same atoms and context bound in turn; a query leaves
-    its group after the block of valuations that holds its first pick.
-    ``select(masks, full)`` maps the query's truth masks to the worlds to
-    report (the lowest is); the chain is the witness context, (W) if
-    empty.  ``select`` must act world by world, each bit of its result
-    read off the same bit of the masks and of ``full``: it runs on a block
-    of valuations side by side.  Raises EvaluationError when a group's
-    (valuation, chain) pairs exceed ``bounds.max_enumeration``.
+    A query is a tuple of roots in ``compiled``; ``selected[k]``, if given,
+    names the selector atoms true at all worlds of query k, the others that
+    queries with its roots name false at all (see Instances side by side).
+    For each roots in turn, goes over |W| (at most the 2^k types of its k
+    other atoms), canonical valuations and chains of length <= the context
+    bound (only the empty chain without conditionals), its queries side by
+    side; a query leaves after the block that holds its first pick.
+    ``select(masks, full)`` maps the roots' truth masks to the worlds to
+    report (the lowest is); the chain is the witness context, (W) if empty.
+    ``select`` must act world by world, each bit of its result read off the
+    same bit of the masks and of ``full``: it runs on a block side by side.
+    Raises EvaluationError when the (valuation, chain) pairs of one roots
+    exceed ``bounds.max_enumeration``.
     """
-    groups: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
-    for k, roots in enumerate(queries):
-        names = tuple(sorted(a for a, bit in compiled.atom_bit.items()
-                             if any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
+    groups: Dict[Tuple[int, ...], Dict[int, FrozenSet[str]]] = {}
+    for k, (roots, on) in enumerate(zip(queries, selected or itertools.repeat(frozenset()))):
+        groups.setdefault(roots, {})[k] = on
+    found: List[Optional[ContextualizedPointedModel]] = [None] * len(queries)
+    for roots, active in groups.items():
+        selectors = frozenset().union(*active.values())
+        names = tuple(sorted(a for a, bit in compiled.atom_bit.items() if a not in selectors
+                             and any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
         max_len = bounds.max_context_len if max(compiled.depths[r] for r in roots) else 0
-        groups.setdefault((names, max_len), []).append(k)
-    for names, max_len in groups:
         total = 0
         for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
             total += comb(1 << len(names), n) * chain_count(n, max_len)
             if total > bounds.max_enumeration:
                 raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
                                       f"exceeds the cap of {bounds.max_enumeration}")
-
-    found: List[Optional[ContextualizedPointedModel]] = [None] * len(queries)
-    for (names, max_len), active in groups.items():
-        for n, valuation, ev, candidates in _valuations(compiled, names, max_len, bounds.max_worlds):
-            truth_mask, full, low = ev.truth_mask, ev.full, ev.low
-            limits, picks = dict.fromkeys(active, full), {}  # of each query: the segments before its pick
+        for n, valuation, ev, candidates, (ks, run) in _valuations(compiled, names, max_len, bounds.max_worlds,
+                                                                   active):
+            truth_mask, full, low, width = ev.truth_mask, ev.full, ev.low, len(run) * n
+            limit, picks = full, {}  # limit: the segments before each query's pick
             for chain in candidates:
                 packed = chain if low == 1 else tuple(s * low for s in chain)  # one segment: no new key
-                for k, limit in tuple(limits.items()):
-                    roots = queries[k]  # one root, the common case, costs no comprehension
-                    masks = ([truth_mask(roots[0], packed)] if len(roots) == 1
-                             else [truth_mask(r, packed) for r in roots])
-                    picked = select(masks, full) & limit
-                    if picked:  # a later chain may still pick an earlier segment
-                        segment, world = divmod((picked & -picked).bit_length() - 1, n)
-                        picks[k] = segment, world, chain
-                        if segment:
-                            limits[k] = (1 << segment * n) - 1
-                        else:
-                            del limits[k]
-                if not limits:
+                picked = select([truth_mask(roots[0], packed)] if len(roots) == 1  # one root: no comprehension
+                                else [truth_mask(r, packed) for r in roots], full) & limit
+                while picked:  # a query's lowest bit: a later chain may still pick an earlier segment
+                    bit = (picked & -picked).bit_length() - 1
+                    end = bit - bit % width + width  # past the query's bits
+                    picks[ks[bit // width]] = bit // n, bit % n, chain
+                    limit &= ~((1 << end) - (1 << bit - bit % n))
+                    picked &= -1 << end
+                if not limit:
                     break
             worlds = tuple(f"w{i + 1}" for i in range(n))
-            for k, (segment, world, chain) in picks.items():  # k leaves its group
-                shift = segment * n
-                model = Model(worlds, {a: mask_to_worlds(m >> shift, worlds) for a, m in valuation.items()})
+            for k, (segment, world, chain) in picks.items():  # k leaves the search
+                model = Model(worlds, {a: mask_to_worlds(valuation[a] >> segment * n, worlds) for a in names})
                 context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
                 found[k] = ContextualizedPointedModel(model, SequenceContext(context), worlds[world])
-            active = [k for k in active if k not in picks]
-            if not active:
-                break
+                del active[k]
     return found
 
 
-def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
-    """(|W|, valuations, their evaluator, the chains to try) in search order, blocks of type sets.
+def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int,
+                active: Optional[Dict[int, FrozenSet[str]]] = None):
+    """(|W|, valuation, evaluator, the chains to try, (queries, type sets)) of each block, in search order.
 
-    A block packs up to ``BLOCK_BITS // |W|`` consecutive type sets of one
-    |W|, segment s of each atom's mask holding the s-th.
+    ``active``, read before each run of t consecutive type sets, maps the
+    queries still searching to their true selector atoms (by default one
+    query, none).  A block packs up to ``BLOCK_BITS // |W|`` (query, type
+    set) pairs, at least one: segment s*t + j holds the j-th of the run for
+    the block's s-th query.
     """
+    active, key = {0: frozenset()} if active is None else active, None
     for n in range(1, min(max_worlds, 1 << len(names)) + 1):
-        candidates = chains(n, min(max_len, n - 1))
-        combinations = itertools.combinations(range(1 << len(names)), n)
-        while block := tuple(itertools.islice(combinations, max(1, BLOCK_BITS // n))):
-            valuation = {a: sum(1 << s * n + w for s, types in enumerate(block)
-                                for w, t in enumerate(types) if t >> i & 1)
-                         for i, a in enumerate(names)}
-            yield n, valuation, ModelEvaluator(compiled, n, valuation, len(block)), candidates
+        pairs, combinations = max(1, BLOCK_BITS // n), itertools.combinations(range(1 << len(names)), n)
+        while active and (run := tuple(itertools.islice(combinations, max(1, pairs // len(active))))):
+            width, live, step = len(run) * n, tuple(active.items()), max(1, pairs // len(run))
+            candidates = chains(n, min(max_len, n - 1))  # only while a query searches: larger |W| cost more
+            masks = {a: sum(1 << s * n + w for s, types in enumerate(run) for w, t in enumerate(types) if t >> i & 1)
+                     for i, a in enumerate(names)}
+            for start in range(0, len(live), step):
+                block = live[start:start + step]
+                if key != (block, width):  # the same queries, runs as long: the same selectors
+                    key, starts, on = (block, width), ((1 << width * len(block)) - 1) // ((1 << width) - 1), {}
+                    for s, (_, selectors) in enumerate(block):  # starts: bit 0 of each query's run
+                        for b in selectors:
+                            on[b] = on.get(b, 0) | ((1 << width) - 1) << s * width
+                valuation = {a: m * starts for a, m in masks.items()} | on
+                compiled.blocks += 1
+                yield (n, valuation, ModelEvaluator(compiled, n, valuation, len(block) * len(run)), candidates,
+                       ([k for k, _ in block], run))
 
 
 def falsified(masks: List[int], full: int) -> int:

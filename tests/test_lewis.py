@@ -288,6 +288,17 @@ def test_flat_equivalence_harness():
     assert all(check.endswith("verified") for check in report.transport_checks)
 
 
+def test_flat_equivalence_keeps_the_enumeration_cap():
+    # [p]q at (3, 1): 50 (valuation, chain) pairs on the conwon side, 74 on
+    # the V side, which searches every chain
+    f = parse_formula("[p]q")
+    assert flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=74)).agrees
+    with pytest.raises(EvaluationError, match="at least 74 .* exceeds the cap of 60"):
+        flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=60))
+    with pytest.raises(EvaluationError, match="exceeds the cap of 60"):
+        satisfying_witness_v(parse_formula("p |> q", dialect="v"), 3, max_enumeration=60)
+
+
 def test_flat_equivalence_rejects_nested():
     with pytest.raises(EvaluationError, match="expects a flat formula"):
         flat_equivalence_check(parse_formula("[p][q]r"), SearchBounds(2, 2))

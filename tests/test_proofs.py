@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from conwon.fixtures import INVALID_PROOFS, VALID_PROOF
-from conwon.formula import Atom, parse_formula
+from conwon.formula import Atom, CondBox, Implies, Not, atoms, parse_formula, subformulas
+from conwon.lewis import satisfying_witness_v
 from conwon.proofs import (
+    CLOSED,
     CONWON_AXIOMS,
     PROP,
     RULES,
@@ -22,7 +25,8 @@ from conwon.proofs import (
     sweep_substitutions,
     tautological_consequence,
 )
-from conwon.semantics import CompiledFormula, SearchBounds, eval_cpm, find_countermodel
+from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, find_countermodel
+from conftest import random_formula
 
 
 def pf(text):
@@ -209,6 +213,13 @@ def test_soundness_sweep_instance_counts():
     assert conwon.ok and v1.ok
 
 
+def test_sweeps_keep_the_enumeration_cap():
+    # the V side searches every chain, under the caller's cap as the conwon side does
+    for system in ("conwon", "v1"):
+        with pytest.raises(EvaluationError, match="exceeds the cap of 10"):
+            soundness_sweep(system, SearchBounds(2, 5, max_enumeration=10))
+
+
 def _reference_plan(compiled, node):
     """The non-propositional nodes but ``~`` of ``node``'s sub-DAG, box consequents left out."""
     found, stack = set(), [node]
@@ -234,51 +245,119 @@ def _plan_roots(compiled, root):
     return {max(b, ~b) for b in bases if compiled.depths[max(b, ~b)]}
 
 
-def test_sweep_lowers_templates_as_instances():
-    # lowering a template under a substitution reaches the instance's own
-    # node, and every plan replayed from the template's runs exactly the
-    # steps a search of the instance's DAG finds, each once, children first
-    counts, replayed = {}, 0
-    for system in ("conwon", "v1"):
-        counts[system] = mismatches = 0
-        for schema, substs in sweep_substitutions(system):
-            compiled = CompiledFormula()
-            for subst in substs:
-                lowered = compiled.add(schema.template, subst)
-                roots = _plan_roots(compiled, lowered)
-                assert roots <= set(compiled._plans), (schema.identifier, subst)  # no plan left to build
-                for node in roots:
-                    steps = [step[0] for step in compiled.plan(node)]
-                    assert set(steps) == _reference_plan(compiled, node) and len(set(steps)) == len(steps)
-                    order = {i: k for k, i in enumerate(steps)}
-                    assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
-                               for i, op, a, _, b, _ in compiled.plan(node))
-                    replayed += 1
-                mismatches += lowered != compiled.add(instantiate(schema, subst))
-            counts[system] += len(substs)
-        assert mismatches == 0, system
-    assert counts == {"conwon": 1025, "v1": 630}
-    assert replayed > 1655
-    # the substitution is simultaneous: a value's atoms are not substituted again
-    compiled = CompiledFormula()
-    swapped = compiled.add(pf("[p]q"), {"p": Atom("q"), "q": Atom("p")})
-    assert swapped == compiled.add(pf("[q]p")) != compiled.add(pf("[q]q"))
-
-
 def test_sweeps_walk_each_template_once(monkeypatch):
-    # one template program per schema serves all of its instances
+    # one DAG per schema, and one multiplexed formula lowered per group of
+    # instances alike in atoms and in having conditionals; every plan a
+    # pass there runs has the steps a search of the DAG finds, each once,
+    # children first
     import conwon.semantics
 
-    made = []
+    made, added = [], []
 
     class Recorded(CompiledFormula):
         def __init__(self, f=None):
             super().__init__(f)
             made.append(self)
 
+        def add(self, f):
+            added.append((self, super().add(f)))
+            return added[-1][1]
+
     monkeypatch.setattr(conwon.semantics, "CompiledFormula", Recorded)
     instances = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
-    assert (sum(len(compiled._programs) for compiled in made), instances) == (15, 1655)
+    groups = sum(len({(frozenset().union(*map(atoms, s.values())), schema.template.depth > 0
+                       or any(f.depth for f in s.values())) for s in substs})
+                 for system in ("conwon", "v1") for schema, substs in sweep_substitutions(system))
+    assert (len(made), len(added), instances) == (15, groups, 1655)
+    assert 15 < groups < 60
+    for compiled, root in added:
+        for node in _plan_roots(compiled, root):
+            steps = [step[0] for step in compiled.plan(node)]
+            assert set(steps) == _reference_plan(compiled, node) and len(set(steps)) == len(steps)
+            order = {i: k for k, i in enumerate(steps)}
+            assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
+                       for i, op, a, _, b, _ in compiled.plan(node))
+
+
+def test_sweep_counts_nodes_and_blocks(monkeypatch):
+    # schema 2c lowers 2,532 nodes as 125 instances replayed one by one;
+    # multiplexed, a few hundred, and each block decides many instances
+    import conwon.proofs
+
+    only_2c = {name: dict(spec, axioms=tuple(s for s in spec["axioms"] if s.identifier == "conwon.2c"))
+               for name, spec in SYSTEMS.items()}
+    monkeypatch.setattr(conwon.proofs, "SYSTEMS", only_2c)
+    report = soundness_sweep("conwon", SearchBounds(2, 5))
+    assert report.instances == 125 and report.ok
+    assert 0 < report.nodes < 1000
+    assert 0 < report.blocks < report.instances
+
+
+def _random_schemas(rng, dialect, count):
+    """Templates over three metavariables; a box antecedent's metavariable is propositional."""
+    names, made = ["alpha", "phi", "chi"], 0
+    while made < count:
+        template = Implies(*(random_formula(rng, names, 2, size=5, dialect=dialect) for _ in "ab"))
+        if len(atoms(template)) < 2 or not template.depth:
+            continue
+        made += 1
+        antecedents = set().union(*(atoms(g.antecedent) for g in subformulas(template) if type(g) is CondBox))
+        conditions = {} if dialect == "v" else {
+            v: PROP if v in antecedents else rng.choice([PROP, CLOSED, None]) for v in atoms(template)}
+        yield Schema(f"random.{dialect}.{made}", template, {v: c for v, c in conditions.items() if c})
+
+
+def _sweep_one_at_a_time(system, bounds):
+    """The failure lines of a soundness sweep that searches each instance on its own."""
+    lines = []
+    for schema, substs in sweep_substitutions(system):
+        for subst in substs:
+            instance = instantiate(schema, subst)
+            if SYSTEMS[system]["dialect"] == "conwon":
+                witness = find_countermodel(instance, bounds)
+                lines += [f"{schema.identifier}: falsified by {witness}"] if witness else []
+            elif found := satisfying_witness_v(Not(instance), bounds.max_worlds):
+                lines.append(f"{schema.identifier}: false at {found[1]} of {found[0].to_json()}")
+    return lines
+
+
+BAD_SCHEMAS = {
+    "conwon": (Schema("bad.box", parse_formula("[alpha]gamma -> gamma"), {"alpha": PROP, "gamma": PROP}),
+               Schema("bad.closed", parse_formula("chi -> [alpha]chi"), {"alpha": PROP, "chi": CLOSED})),
+    "v1": (Schema("bad.rhd", parse_formula("(phi |> chi) -> chi", dialect="v"), {}),
+           Schema("bad.swap", parse_formula("(phi |> chi) -> (chi |> phi)", dialect="v"), {})),
+}
+
+
+@pytest.mark.parametrize("bounds, block_bits", [((2, 3), None), ((3, 2), None), ((3, 2), 16)])
+def test_sliced_sweep_matches_one_search_per_instance(monkeypatch, bounds, block_bits):
+    # the instances searched side by side get the failure lines, witnesses
+    # included, that one search per instance gets, over the real systems,
+    # the unsound schemas added to them and seeded random schemas
+    import conwon.proofs
+    from conwon import semantics
+
+    rng = random.Random(20261019)
+    random_schemas = {"conwon": tuple(_random_schemas(rng, "conwon", 6)), "v1": tuple(_random_schemas(rng, "v", 6))}
+    widths = []
+
+    class Recorded(semantics.ModelEvaluator):
+        def __init__(self, compiled, n_worlds, valuation, segments=1):
+            super().__init__(compiled, n_worlds, valuation, segments)
+            widths.append((self.full.bit_length(), n_worlds))
+
+    monkeypatch.setattr(semantics, "ModelEvaluator", Recorded)
+    if block_bits:  # 16 bits: instances and type sets are cut across blocks
+        monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    for extra in (BAD_SCHEMAS, random_schemas):
+        systems = {name: dict(spec, axioms=spec["axioms"] * (extra is BAD_SCHEMAS) + extra[name])
+                   for name, spec in SYSTEMS.items()}
+        monkeypatch.setattr(conwon.proofs, "SYSTEMS", systems)
+        for system in ("conwon", "v1"):
+            report = soundness_sweep(system, SearchBounds(*bounds))
+            assert report.failures == _sweep_one_at_a_time(system, SearchBounds(*bounds)), system
+            assert report.failures and not any("#" in line for line in report.failures)  # no selector atom
+    assert all(width <= max(semantics.BLOCK_BITS, n) for width, n in widths)
 
 
 def test_soundness_sweep_reports_unsound_schemas(monkeypatch):

@@ -474,7 +474,7 @@ def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
         names = tuple(sorted(compiled.atom_bit))
         for max_worlds, max_len in [(3, 3), (4, 2)]:
             seen = []
-            for n, valuation, ev, candidates in _valuations(compiled, names, max_len, max_worlds):
+            for n, valuation, ev, candidates, _ in _valuations(compiled, names, max_len, max_worlds):
                 assert ev.full.bit_length() <= max(block_bits, n)
                 ones = (1 << n) - 1
                 for segment in range(ev.full.bit_length() // n):
