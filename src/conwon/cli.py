@@ -153,12 +153,13 @@ def update_cmd(model_path, context_path, alpha, output) -> None:
 @guarded
 def reduce_cmd(formula, output) -> None:
     """Translate a formula into the flat fragment."""
-    from .formula import modal_depth, parse_formula, render
+    from .formula import modal_depth, parse_formula, render, subformulas
     from .reduction import sigma
 
     f = parse_formula(formula)
     flat = sigma(f)
-    payload = {"input": render(f), "flat": render(flat), "modal_depth": modal_depth(flat)}
+    payload = {"input": render(f), "flat": render(flat), "modal_depth": modal_depth(flat),
+               "printed_nodes": flat.size, "dag_nodes": sum(1 for _ in subformulas(flat))}
     emit(output, payload, [render(flat)])
 
 

@@ -459,7 +459,7 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
             instance = instantiate(schema, subst)
             if dialect == "conwon":
                 recheck_countermodel(instance, witness)
-                report.failures.append(f"{schema.identifier}: falsified by {witness}")
+                report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
             else:
                 m, w = v_witness(Not(instance), witness)
                 report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")

@@ -37,8 +37,14 @@ last nonempty running intersection.  A closed formula (conditionals under
 Any other body is a boolean mix of propositional and closed parts.  It
 is grouped into clauses P | K (P propositional, K closed, either absent),
 distributing only where a disjunction has a mixed side, and each clause
-is rewritten by 2b and the closed-body case.  No output simplification is
-performed, so results stay auditable against these shapes.
+is rewritten by 2b and the closed-body case.
+
+:func:`sigma` builds these shapes with a negation that cancels ``~~x`` to x
+(:func:`rewrite_step` prints them exactly).  Both hold at the same points, in
+bodies as in antecedents, so each output is its shape up to ``~~``.  An or,
+``~(~a & ~b)`` less its cancelled pairs, still prints at least a's and b's
+nodes, so a clause's recorded size stays a lower bound.  A ``~`` whose child
+comes back unchanged is kept, so :func:`sigma` is the identity on flat input.
 """
 
 from __future__ import annotations
@@ -47,10 +53,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
 from .formula import (
+    TRUE,
     And,
     CondBox,
     CondDia,
-    EveryWorld,
     Formula,
     Implies,
     Not,
@@ -79,18 +85,34 @@ def _match_or(f: Formula) -> Optional[Tuple[Formula, Formula]]:
     return None
 
 
-def _box_over_box_body(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
-    """``[a][b]g`` under ``E a``: (E(a&b) & [a&b]g) | (~E(a&b) & A(b->g))."""
+def _neg(f: Formula) -> Formula:
+    """``~f``, or ``f.child`` when ``f`` is a negation: the default ``neg`` of the sugar below."""
+    return f.child if type(f) is Not else Not(f)
+
+
+def _or(a: Formula, b: Formula, neg=_neg) -> Formula:
+    return neg(And(neg(a), neg(b)))
+
+
+def _implies(a: Formula, b: Formula, neg=_neg) -> Formula:
+    return neg(And(a, neg(b)))
+
+
+def _some(alpha: Formula, neg=_neg) -> Formula:
+    return neg(CondBox(alpha, neg(TRUE)))
+
+
+def _box_over_box_body(alpha: Formula, beta: Formula, gamma: Formula, neg) -> Formula:
+    """``[a][b]g`` under ``E a``: (E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)), ``A x`` being ``~E~x``."""
     ab = And(alpha, beta)
-    return Or(
-        And(SomeWorld(ab), CondBox(ab, gamma)),
-        And(Not(SomeWorld(ab)), EveryWorld(Implies(beta, gamma))),
-    )
+    some_ab = _some(ab, neg)
+    return _or(And(some_ab, CondBox(ab, gamma)),
+               And(neg(some_ab), neg(_some(neg(_implies(beta, gamma, neg)), neg))), neg)
 
 
 def _box_over_box(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
     """[a][b]g  <->  Ea -> ((E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)))."""
-    return Implies(SomeWorld(alpha), _box_over_box_body(alpha, beta, gamma))
+    return Implies(SomeWorld(alpha), _box_over_box_body(alpha, beta, gamma, Not))
 
 
 def _box_over_dia(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
@@ -171,7 +193,7 @@ def _kind(body: Formula) -> str:
 def _or_opt(a: Optional[Formula], b: Optional[Formula]) -> Optional[Formula]:
     if a is None:
         return b
-    return a if b is None else Or(a, b)
+    return a if b is None else _or(a, b)
 
 
 class _Flattener:
@@ -187,20 +209,26 @@ class _Flattener:
         self.lift_memo: Dict[Tuple[Formula, Formula], Formula] = {}
 
     def flat(self, f: Formula) -> Formula:
-        if not f.depth:
-            return f
-        out = self.flat_memo.get(f)
-        if out is None:
-            if isinstance(f, Not):
-                out = _capped(Not(self.flat(f.child)))
-            elif isinstance(f, And):
-                out = _capped(And(self.flat(f.left), self.flat(f.right)))
-            elif isinstance(f, CondBox):
-                out = self.box(f.antecedent, self.flat(f.consequent))
+        memo = self.flat_memo
+        stack = [f]  # a ~ or & waits under a None until its children are done: no recursion through them
+        while stack:
+            g = stack.pop()
+            if g is None:  # the next one's children are done
+                g = stack.pop()
+                if type(g) is Not:
+                    c = memo[g.child]
+                    memo[g] = g if c is g.child else _capped(_neg(c))
+                else:
+                    memo[g] = _capped(And(memo[g.left], memo[g.right]))
+            elif not g.depth or g in memo:  # done, or propositional and so its own flat form
+                memo.setdefault(g, g)
+            elif type(g) is Not or type(g) is And:
+                stack += (g, None, g.child) if type(g) is Not else (g, None, g.right, g.left)
+            elif type(g) is CondBox:
+                memo[g] = self.box(g.antecedent, self.flat(g.consequent))
             else:
                 raise RewriteError("sigma applies to conwon-dialect formulas")
-            self.flat_memo[f] = out
-        return out
+        return memo[f]
 
     def box(self, alpha: Formula, body: Formula) -> Formula:
         """Flat equivalent of ``[alpha] body`` for a depth-<=1 body."""
@@ -210,11 +238,11 @@ class _Flattener:
         if isinstance(body, And):
             return _capped(And(self.box(alpha, body.left), self.box(alpha, body.right)))
         if kind == _CLOSED:
-            return _capped(Implies(SomeWorld(alpha), self.lift(alpha, body)))
+            return _capped(_implies(_some(alpha), self.lift(alpha, body)))
         conjuncts = []
         for p, k, _ in self.clauses(body, True):
             prop = None if p is None else CondBox(alpha, p)
-            closed = None if k is None else Implies(SomeWorld(alpha), self.lift(alpha, _capped(k)))
+            closed = None if k is None else _implies(_some(alpha), self.lift(alpha, _capped(k)))
             conjuncts.append(_capped(_or_opt(prop, closed)))
         out = conjuncts[0]
         for c in conjuncts[1:]:
@@ -227,11 +255,11 @@ class _Flattener:
         out = self.lift_memo.get(key)
         if out is None:
             if isinstance(k, Not):
-                out = Not(self.lift(alpha, k.child))
+                out = _neg(self.lift(alpha, k.child))
             elif isinstance(k, And):
                 out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
             else:  # a conditional with a propositional consequent
-                out = _box_over_box_body(alpha, k.antecedent, k.consequent)
+                out = _box_over_box_body(alpha, k.antecedent, k.consequent, _neg)
             out = self.lift_memo[key] = _capped(out)
         return out
 

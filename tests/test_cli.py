@@ -13,7 +13,7 @@ from conwon.fixtures import (
     TIGER_MODEL,
     VALID_PROOF,
 )
-from conwon.formula import ParseError, parse_formula
+from conwon.formula import ParseError, parse_formula, subformulas
 from conwon.models import SchemaError, load_context, load_model
 from conwon.proofs import ProofError
 from conwon.reduction import RewriteError
@@ -217,6 +217,15 @@ def test_reduce():
     parse_formula(payload["flat"])
 
 
+def test_reduce_reports_output_sizes():
+    result = invoke(["reduce", "--formula", "[p][q][r][s]t", "--output", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    flat = parse_formula(payload["flat"])
+    assert payload["printed_nodes"] == flat.size == 947
+    assert payload["dag_nodes"] == len(set(subformulas(flat))) < flat.size
+
+
 def test_reduce_depth5_chain():
     result = invoke(["reduce", "--formula", "[p][q][r][s][t]u", "--output", "json"])
     assert result.exit_code == 0
@@ -335,10 +344,17 @@ def test_deep_flat_formulas_exit_0():
             assert result.stdout.splitlines()[0] == formula  # the canonical form: it round-trips
 
 
-def test_deep_nesting_exit_2():
-    # sigma still recurses once per disjunct of a deep disjunction of conditionals
+def test_deep_flat_disjunction_of_conditionals_exit_0():
+    # sigma walks ~ and & with a stack: a deep disjunction of conditionals comes back as it went in
     formula = " | ".join(["[p]q"] * 3000)
     result = invoke(["reduce", "--formula", formula])
+    assert result.exit_code == 0
+    assert parse_formula(result.stdout.splitlines()[0]) is parse_formula(formula)
+
+
+def test_deep_nesting_exit_2():
+    # sigma still recurses once per nested conditional
+    result = invoke(["reduce", "--formula", "[p]" * 1000 + "q"])
     assert result.exit_code == 2
     assert result.stderr == "error: formula is nested too deeply\n"
     assert "Traceback" not in result.output

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,7 +319,7 @@ def _sweep_one_at_a_time(system, bounds):
             instance = instantiate(schema, subst)
             if SYSTEMS[system]["dialect"] == "conwon":
                 witness = find_countermodel(instance, bounds)
-                lines += [f"{schema.identifier}: falsified by {witness}"] if witness else []
+                lines += [f"{schema.identifier}: falsified by {witness.to_json()}"] if witness else []
             elif found := satisfying_witness_v(Not(instance), bounds.max_worlds):
                 lines.append(f"{schema.identifier}: false at {found[1]} of {found[0].to_json()}")
     return lines
@@ -358,6 +362,24 @@ def test_sliced_sweep_matches_one_search_per_instance(monkeypatch, bounds, block
             assert report.failures == _sweep_one_at_a_time(system, SearchBounds(*bounds)), system
             assert report.failures and not any("#" in line for line in report.failures)  # no selector atom
     assert all(width <= max(semantics.BLOCK_BITS, n) for width, n in widths)
+
+
+def test_sweep_failure_lines_do_not_depend_on_the_string_hash():
+    # a witness prints as its JSON, whose lists are sorted, so no set's iteration order shows;
+    # this schema's countermodels have two-world extents
+    code = ("from conwon import proofs\nfrom conwon.formula import parse_formula\n"
+            "from conwon.semantics import SearchBounds\n"
+            "bad = proofs.Schema('bad.mono', parse_formula('[alpha]gamma -> [alpha & beta]gamma'), "
+            "dict.fromkeys(('alpha', 'beta', 'gamma'), proofs.PROP))\n"
+            "proofs.SYSTEMS['conwon'] = dict(proofs.SYSTEMS['conwon'], axioms=(bad,))\n"
+            "print(*proofs.soundness_sweep('conwon', SearchBounds(3, 2)).failures, sep='\\n')\n")
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    lines = [subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                            capture_output=True, text=True, timeout=60, check=True).stdout.splitlines()
+             for seed in ("0", "2")]
+    assert lines[0] == lines[1]
+    assert lines[0] and all(line.startswith("bad.mono: falsified by {") for line in lines[0])
 
 
 def test_soundness_sweep_reports_unsound_schemas(monkeypatch):

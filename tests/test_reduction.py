@@ -6,11 +6,13 @@ from conwon.formula import (
     And,
     CondBox,
     Iff,
+    Not,
     Or,
     is_flat,
     modal_depth,
     parse_formula,
     render,
+    subformulas,
 )
 from conwon import reduction
 from conwon.reduction import RewriteError, rewrite_step, sigma
@@ -83,7 +85,7 @@ def test_four_equivalences_are_valid():
 
 
 def test_sigma_identity_on_flat():
-    for text in ["p & ~q", "[p]q -> r", "~[p]q & <q>p"]:
+    for text in ["p & ~q", "[p]q -> r", "~[p]q & <q>p", "~~[p]q", "~~(p & [q]r)"]:
         f = pf(text)
         assert sigma(f) == f
 
@@ -154,7 +156,19 @@ def test_sigma_depth4_battery_preserves_truth():
 
 
 def test_sigma_output_size_regression():
-    assert len(render(sigma(pf("[p][q][r][s]t")))) < 20_000
+    assert sigma(pf("[p][q][r][s]t")).size <= 947
+
+
+def test_sigma_builds_no_double_negation():
+    # every ~~x in sigma's output is one the input already had
+    rng = random.Random(404)
+    battery = formula_battery(seed=101, count=80, atom_names=("p", "q"), max_depth=3)
+    battery += [random_formula(rng, ("p", "q", "r"), 4, size=8) for _ in range(40)]
+    battery += [pf("~~[p](~~q & [~~q]~~r)"), pf("[p]~~[q]~r"), pf("~[p]~[q]~~r")]
+    for f in battery:
+        kept = set(subformulas(f))
+        built = [g for g in subformulas(sigma(f)) if type(g) is Not and type(g.child) is Not and g not in kept]
+        assert built == [], render(f)
 
 
 def test_sigma_output_cap(monkeypatch):
