@@ -158,9 +158,10 @@ def reduce_cmd(formula, output) -> None:
 
     f = parse_formula(formula)
     flat = sigma(f)
-    payload = {"input": render(f), "flat": render(flat), "modal_depth": modal_depth(flat),
+    text = render(flat)
+    payload = {"input": render(f), "flat": text, "modal_depth": modal_depth(flat),
                "printed_nodes": flat.size, "dag_nodes": sum(1 for _ in subformulas(flat))}
-    emit(output, payload, [render(flat)])
+    emit(output, payload, [text])
 
 
 @guarded

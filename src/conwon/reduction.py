@@ -31,6 +31,12 @@ last nonempty running intersection.  A closed formula (conditionals under
   ``[a&b]g``; otherwise they stop at |b| and ``[b]g`` says ``A(b -> g)``.
   Inside a closed body, each ``[a]C`` is replaced by this guarded body,
   since the closed-body rewrite already supplies the guard ``E a``.
+  :func:`sigma` writes the body as ``[a&b]g & ([a&b]false -> A(b -> g))``:
+  (1) where a&b holds nowhere the expected set of (a&b).X is empty, so
+  ``[a&b]g`` holds vacuously and the body is ``[a&b]g & (E(a&b) | A(b -> g))``;
+  (2) ``~E x`` is ``[x]false`` once ``~~`` cancels; (3) ``A(b -> g)`` is
+  ``[b & ~g]false``, and ``[b & ~false]false`` is ``[b]false``, since a
+  conditional reads its antecedent only through its extension.
 * 2d, the dual of 2c for ``[a]<b>g``, is used by :func:`rewrite_step`
   only; :func:`sigma` meets duals as negated conditionals of a closed body.
 
@@ -39,9 +45,10 @@ is grouped into clauses P | K (P propositional, K closed, either absent),
 distributing only where a disjunction has a mixed side, and each clause
 is rewritten by 2b and the closed-body case.
 
-:func:`sigma` builds these shapes with a negation that cancels ``~~x`` to x
-(:func:`rewrite_step` prints them exactly).  Both hold at the same points, in
-bodies as in antecedents, so each output is its shape up to ``~~``.  An or,
+:func:`sigma` builds these shapes, 2c in the form above, with a negation
+that cancels ``~~x`` to x (:func:`rewrite_step` prints the axiom shapes
+exactly).  Both hold at the same points, in bodies as in antecedents, so
+each output is its shape up to ``~~``.  An or,
 ``~(~a & ~b)`` less its cancelled pairs, still prints at least a's and b's
 nodes, so a clause's recorded size stays a lower bound.  A ``~`` whose child
 comes back unchanged is kept, so :func:`sigma` is the identity on flat input.
@@ -53,10 +60,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
 from .formula import (
-    TRUE,
+    FALSUM,
     And,
     CondBox,
     CondDia,
+    EveryWorld,
     Formula,
     Implies,
     Not,
@@ -90,29 +98,23 @@ def _neg(f: Formula) -> Formula:
     return f.child if type(f) is Not else Not(f)
 
 
-def _or(a: Formula, b: Formula, neg=_neg) -> Formula:
-    return neg(And(neg(a), neg(b)))
+def _or(a: Formula, b: Formula) -> Formula:
+    return _neg(And(_neg(a), _neg(b)))
 
 
-def _implies(a: Formula, b: Formula, neg=_neg) -> Formula:
-    return neg(And(a, neg(b)))
+def _implies(a: Formula, b: Formula) -> Formula:
+    return _neg(And(a, _neg(b)))
 
 
-def _some(alpha: Formula, neg=_neg) -> Formula:
-    return neg(CondBox(alpha, neg(TRUE)))
-
-
-def _box_over_box_body(alpha: Formula, beta: Formula, gamma: Formula, neg) -> Formula:
-    """``[a][b]g`` under ``E a``: (E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)), ``A x`` being ``~E~x``."""
-    ab = And(alpha, beta)
-    some_ab = _some(ab, neg)
-    return _or(And(some_ab, CondBox(ab, gamma)),
-               And(neg(some_ab), neg(_some(neg(_implies(beta, gamma, neg)), neg))), neg)
+def _some(alpha: Formula) -> Formula:
+    return _neg(CondBox(alpha, FALSUM))
 
 
 def _box_over_box(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
     """[a][b]g  <->  Ea -> ((E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)))."""
-    return Implies(SomeWorld(alpha), _box_over_box_body(alpha, beta, gamma, Not))
+    ab = And(alpha, beta)
+    return Implies(SomeWorld(alpha), Or(And(SomeWorld(ab), CondBox(ab, gamma)),
+                                        And(Not(SomeWorld(ab)), EveryWorld(Implies(beta, gamma)))))
 
 
 def _box_over_dia(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
@@ -250,7 +252,7 @@ class _Flattener:
         return out
 
     def lift(self, alpha: Formula, k: Formula) -> Formula:
-        """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` in its 2c form under ``E alpha``."""
+        """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` as its lifted 2c body under ``E alpha``."""
         key = (alpha, k)
         out = self.lift_memo.get(key)
         if out is None:
@@ -258,8 +260,10 @@ class _Flattener:
                 out = _neg(self.lift(alpha, k.child))
             elif isinstance(k, And):
                 out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
-            else:  # a conditional with a propositional consequent
-                out = _box_over_box_body(alpha, k.antecedent, k.consequent, _neg)
+            else:  # a conditional with a propositional consequent: [a&b]g & ([a&b]false -> A(b->g))
+                beta, gamma = k.antecedent, k.consequent
+                ab, b_not_g = And(alpha, beta), beta if gamma is FALSUM else And(beta, _neg(gamma))
+                out = And(CondBox(ab, gamma), _implies(CondBox(ab, FALSUM), CondBox(b_not_g, FALSUM)))
             out = self.lift_memo[key] = _capped(out)
         return out
 

@@ -16,7 +16,7 @@ from conwon.fixtures import (
 from conwon.formula import ParseError, parse_formula, subformulas
 from conwon.models import SchemaError, load_context, load_model
 from conwon.proofs import ProofError
-from conwon.reduction import RewriteError
+from conwon.reduction import RewriteError, sigma
 from conwon.semantics import EvaluationError, evaluate
 from conftest import invoke, nested_boxes
 
@@ -222,7 +222,7 @@ def test_reduce_reports_output_sizes():
     assert result.exit_code == 0
     payload = json.loads(result.output)
     flat = parse_formula(payload["flat"])
-    assert payload["printed_nodes"] == flat.size == 947
+    assert payload["printed_nodes"] == flat.size == 375
     assert payload["dag_nodes"] == len(set(subformulas(flat))) < flat.size
 
 
@@ -232,8 +232,27 @@ def test_reduce_depth5_chain():
     assert json.loads(result.output)["modal_depth"] <= 1
 
 
+def test_reduce_renders_sigma_output_once(monkeypatch):
+    from conwon import formula
+
+    flat = sigma(parse_formula("[p][q][r]s"))
+    calls = []
+    real = formula.render
+    monkeypatch.setattr(formula, "render", lambda f: calls.append(f) or real(f))
+    result = invoke(["reduce", "--formula", "[p][q][r]s"])
+    assert result.exit_code == 0
+    assert result.output == real(flat) + "\n"
+    assert calls.count(flat) == 1
+
+
+def test_reduce_depth9_chain_exit_0():
+    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x]y", "--output", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["modal_depth"] <= 1
+
+
 def test_reduce_over_the_cap_exit_2():
-    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x]y"])
+    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x][y][z]a"])
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert "exceeds the cap" in result.stderr

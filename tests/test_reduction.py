@@ -155,8 +155,33 @@ def test_sigma_depth4_battery_preserves_truth():
         assert truth_masks_agree(f, g, 3, 3) is None, render(f)
 
 
+def test_sigma_lifted_2c_body_preserves_truth():
+    # the lifted body [a&b]g & ([a&b]false -> A(b->g)) leans on [a&b]g holding where a&b holds nowhere
+    for text in ["[p][q]false", "[p]~[q]false", "[p]E q", "[p]A q", "[p](E q & [q]false)",
+                 "[p][q][p]q", "[p][q]~[r]false", "[p][q][r]false"]:
+        assert truth_masks_agree(pf(text), sigma(pf(text)), 3, 3) is None, text
+    rng = random.Random(303)
+    battery = []
+    while len(battery) < 20:
+        f = random_formula(rng, ("p", "q", "r"), 3, size=6)
+        if modal_depth(f) == 3:
+            battery.append(f)
+    for f in battery:
+        assert truth_masks_agree(f, sigma(f), 3, 3) is None, render(f)
+
+
+def test_sigma_lifted_body_equals_the_2c_body():
+    # equal at every point, not only under E a: where a&b holds nowhere both sides are A(b->g)
+    pool = ["q", "~q", "p & ~q", "p | q", "false"]
+    for b in pool:
+        for g in pool:
+            lifted = reduction._Flattener().lift(pf("p"), pf(f"[{b}]({g})"))
+            body = pf(f"(E (p & ({b})) & [p & ({b})]({g})) | (~E (p & ({b})) & A (({b}) -> ({g})))")
+            assert truth_masks_agree(lifted, body, 4, 3) is None, (b, g)
+
+
 def test_sigma_output_size_regression():
-    assert sigma(pf("[p][q][r][s]t")).size <= 947
+    assert sigma(pf("[p][q][r][s]t")).size <= 375
 
 
 def test_sigma_builds_no_double_negation():
@@ -173,9 +198,9 @@ def test_sigma_builds_no_double_negation():
 
 def test_sigma_output_cap(monkeypatch):
     monkeypatch.setattr(reduction, "MAX_SIGMA_NODES", 500)
-    assert len(render(sigma(pf("[p][q][r]s")))) < 1000
+    assert sigma(pf("[p][q][r][s]t")).size == 375
     with pytest.raises(RewriteError, match="exceeds the cap of 500 nodes"):
-        sigma(pf("[p][q][r][s]t"))
+        sigma(pf("[p][q][r][s][t]u"))
     # a mixed body whose clause product is over the cap
     mixed = " | ".join(f"(a{i} & [b{i}]c{i})" for i in range(10))
     with pytest.raises(RewriteError, match="exceeds the cap"):
