@@ -5,12 +5,16 @@ Exit codes: 0 for success (true / valid up to bounds / proof accepted),
 2 for usage or input errors, 3 for an internal fault.
 
 The parser is the standard library's :mod:`argparse`, whose usage errors
-also exit 2. Each subcommand imports what it uses when it runs; input
-errors subclass :class:`conwon.errors.InputError` and exit 2.
+also exit 2. Each subcommand is a report function: it imports what it
+uses when it runs and returns ``(exit code, JSON payload, human lines)``,
+printing nothing. :func:`main` alone catches errors, prints and exits;
+input errors subclass :class:`conwon.errors.InputError` and exit 2, with
+one line on stderr and nothing on stdout. ``fixtures`` runs the tiger,
+reagan and figure1 examples through :func:`eval_cmd` and
+:func:`expected_cmd` on its bundled data.
 """
 
 import argparse
-import functools
 import json
 import sys
 
@@ -21,37 +25,7 @@ EXAMPLE_NAMES = ("fact16", "figure1", "nonmono", "reagan", "tiger")
 SHOW_DEFAULT = "(default: %(default)s)"
 
 
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
-
-
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InputError, OSError) as exc:
-            _fail(str(exc))
-        except RecursionError:
-            _fail("formula is nested too deeply")
-        except Exception as exc:  # a fault of conwon itself, never a verdict
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            sys.exit(3)
-
-    return wrapper
-
-
-def emit(output: str, payload: dict, lines) -> None:
-    if output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-@guarded
-def parse_cmd(formula: str, dialect: str, output: str) -> None:
+def parse_cmd(formula: str, dialect: str):
     """Parse FORMULA and print its canonical desugared form."""
     from .formula import classify, modal_depth, parse_formula, render
 
@@ -69,7 +43,7 @@ def parse_cmd(formula: str, dialect: str, output: str) -> None:
              + (", propositional" if info.is_propositional else "")
              + (", flat" if info.is_flat else "")
              + (", closed" if info.is_closed else "")]
-    emit(output, payload, lines)
+    return 0, payload, lines
 
 
 def _trace_lines(trace):
@@ -84,8 +58,7 @@ def _trace_lines(trace):
     return lines
 
 
-@guarded
-def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
+def eval_cmd(model_path, context_path, world, formula, trace):
     """Evaluate a formula at (model, context, world)."""
     from .formula import parse_formula, render
     from .models import load_context, load_model
@@ -102,12 +75,10 @@ def eval_cmd(model_path, context_path, world, formula, trace, output) -> None:
     if trace:
         payload["trace"] = [step.to_json() for step in steps]
         lines += _trace_lines(steps)
-    emit(output, payload, lines)
-    sys.exit(0 if value else 1)
+    return (0 if value else 1), payload, lines
 
 
-@guarded
-def expected_cmd(model_path, context_path, output) -> None:
+def expected_cmd(model_path, context_path):
     """Print the expected states of a context."""
     from .models import OrderedDefaultSet, expected, hierarchy, load_context, load_model
 
@@ -121,11 +92,10 @@ def expected_cmd(model_path, context_path, output) -> None:
         payload["hierarchy"] = levels
         lines.append(f"hierarchy: {levels}")
     lines.append(f"expected states: {sorted(e)}")
-    emit(output, payload, lines)
+    return 0, payload, lines
 
 
-@guarded
-def update_cmd(model_path, context_path, alpha, output) -> None:
+def update_cmd(model_path, context_path, alpha):
     """Update a context with the default generated by a formula."""
     from .formula import parse_formula, render
     from .models import expected, load_context, load_model, update
@@ -147,11 +117,10 @@ def update_cmd(model_path, context_path, alpha, output) -> None:
         json.dumps(updated.to_json(), indent=2, sort_keys=True),
         f"expected states: {sorted(e)}",
     ]
-    emit(output, payload, lines)
+    return 0, payload, lines
 
 
-@guarded
-def reduce_cmd(formula, output) -> None:
+def reduce_cmd(formula):
     """Translate a formula into the flat fragment."""
     from .formula import modal_depth, parse_formula, render, subformulas
     from .reduction import sigma
@@ -161,11 +130,10 @@ def reduce_cmd(formula, output) -> None:
     text = render(flat)
     payload = {"input": render(f), "flat": text, "modal_depth": modal_depth(flat),
                "printed_nodes": flat.size, "dag_nodes": sum(1 for _ in subformulas(flat))}
-    emit(output, payload, [text])
+    return 0, payload, [text]
 
 
-@guarded
-def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
+def falsify_cmd(formula, max_worlds, max_context_len):
     """Search for a countermodel within the given bounds."""
     from .formula import parse_formula
     from .semantics import SearchBounds, find_countermodel
@@ -173,17 +141,13 @@ def falsify_cmd(formula, max_worlds, max_context_len, output) -> None:
     f = parse_formula(formula)
     witness = find_countermodel(f, SearchBounds(max_worlds, max_context_len))
     if witness is None:
-        emit(output, {"countermodel": None},
-             [f"no countermodel with at most {max_worlds} worlds, context length {max_context_len}"])
-        sys.exit(0)
+        return 0, {"countermodel": None}, [
+            f"no countermodel with at most {max_worlds} worlds, context length {max_context_len}"]
     payload = {"countermodel": witness.to_json()}
-    lines = ["countermodel found:", json.dumps(witness.to_json(), indent=2, sort_keys=True)]
-    emit(output, payload, lines)
-    sys.exit(1)
+    return 1, payload, ["countermodel found:", json.dumps(witness.to_json(), indent=2, sort_keys=True)]
 
 
-@guarded
-def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None:
+def compare_v_cmd(formula, max_worlds, max_context_len, dialect):
     """Compare bounded satisfiability against the comparative-possibility logic."""
     from .formula import parse_formula
     from .lewis import flat_equivalence_check
@@ -204,13 +168,11 @@ def compare_v_cmd(formula, max_worlds, max_context_len, dialect, output) -> None
         f"verdicts {'agree' if report.agrees else 'DISAGREE'}",
         *report.transport_checks,
     ]
-    emit(output, payload, lines)
     ok = report.agrees and not any("FAILED" in c for c in report.transport_checks)
-    sys.exit(0 if ok else 1)
+    return (0 if ok else 1), payload, lines
 
 
-@guarded
-def check_proof_cmd(proof_file, system_override, output) -> None:
+def check_proof_cmd(proof_file, system_override):
     """Check a Hilbert-style proof file."""
     from .proofs import check_proof, load_proof
 
@@ -219,19 +181,14 @@ def check_proof_cmd(proof_file, system_override, output) -> None:
         system = system_override
     verdict = check_proof(steps, system)
     payload = {"system": system, "accepted": verdict.ok, "errors": verdict.errors}
-    lines = [("accepted" if verdict.ok else "rejected")] + verdict.errors
-    emit(output, payload, lines)
-    sys.exit(0 if verdict.ok else 1)
+    return (0 if verdict.ok else 1), payload, [("accepted" if verdict.ok else "rejected")] + verdict.errors
 
 
-@guarded
-def examples_run(name, output) -> None:
+def examples_run(name):
     """Re-derive a bundled example's verdicts from its fixture."""
     from .fixtures import run_example
 
-    code, lines, payload = run_example(name)
-    emit(output, payload, lines)
-    sys.exit(code)
+    return run_example(name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +243,19 @@ def main(argv=None) -> None:
     """Tools for conditional weak ontic necessity."""
     args = vars(build_parser().parse_args(argv))
     del args["command"]
-    args.pop("handler")(**args)
+    handler, output = args.pop("handler"), args.pop("output")
+    try:
+        code, payload, lines = handler(**args)
+        print(json.dumps(payload, indent=2, sort_keys=True) if output == "json" else "\n".join(lines))
+        sys.exit(code)
+    except (InputError, OSError) as exc:
+        code, message = 2, f"error: {exc}"
+    except RecursionError:
+        code, message = 2, "error: formula is nested too deeply"
+    except Exception as exc:  # a fault of conwon itself, never a verdict
+        code, message = 3, f"internal error: {type(exc).__name__}: {exc}"
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

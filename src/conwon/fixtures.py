@@ -1,12 +1,15 @@
 """Bundled worked examples and proof files.
 
 Each example carries its model and context data plus a ``run_example``
-entry that recomputes the advertised verdicts from scratch, returning an
-exit code (0 = everything came out as advertised and the headline
-formula is true or valid; 1 = the headline formula is false or a
-countermodel exists) together with human-readable lines and a JSON-able
-payload.  The library modules are imported inside the ``_run_*``
-functions, so listing the examples loads none of them.
+entry that recomputes the advertised verdicts from scratch and returns
+what a CLI report function returns: an exit code (0 = everything came out
+as advertised and the headline formula is true or valid; 1 = the headline
+formula is false or a countermodel exists), a JSON-able payload and
+human-readable lines.  tiger and reagan are ``conwon eval --trace`` and
+figure1 is ``conwon expected``, run through those report functions on the
+bundled data; nonmono and fact16 have runners of their own.  Every
+runner imports the library when it runs, so listing the examples loads
+none of it.
 """
 
 from __future__ import annotations
@@ -73,43 +76,7 @@ FACT16_V = "E (p & q) -> (p |> (q |> (p & q)))"
 MONOTONICITY = "([p]q) -> ([p & ~q]q)"
 
 
-def _eval_with_trace(model_data, context_data, world, formula_text):
-    """The rendered formula, its truth at ``world`` and its trace."""
-    from .formula import parse_formula, render
-    from .models import load_context, load_model
-    from .semantics import evaluate
-
-    model = load_model(model_data)
-    context = load_context(context_data, model)
-    f = parse_formula(formula_text)
-    trace: List = []
-    value = evaluate(model, context, world, f, trace=trace)
-    return render(f), value, trace
-
-
-def _run_tiger() -> Tuple[int, List[str], dict]:
-    text, value, trace = _eval_with_trace(TIGER_MODEL, TIGER_CONTEXT, "w3", "[a_g]~a_d")
-    lines = [f"{text} at w3: {'true' if value else 'false'}"]
-    for step in trace:
-        lines.append(f"  update with {step.antecedent}: generated {sorted(step.generated)}")
-        lines.append(f"  hierarchy: {[sorted(level) for level in step.levels]}")
-        lines.append(f"  expected: {sorted(step.expected)}")
-    payload = {"formula": text, "world": "w3", "value": value,
-               "trace": [step.to_json() for step in trace]}
-    return (0 if value else 1), lines, payload
-
-
-def _run_reagan() -> Tuple[int, List[str], dict]:
-    text, value, trace = _eval_with_trace(REAGAN_MODEL, REAGAN_CONTEXT, "w1", "[~r][r | a]r")
-    lines = [f"{text} at w1: {'true' if value else 'false'}"]
-    for step in trace:
-        lines.append(f"  update with {step.antecedent}: expected {sorted(step.expected)}")
-    payload = {"formula": text, "world": "w1", "value": value,
-               "trace": [step.to_json() for step in trace]}
-    return (0 if value else 1), lines, payload
-
-
-def _run_nonmono() -> Tuple[int, List[str], dict]:
+def _run_nonmono() -> Tuple[int, dict, List[str]]:
     from .formula import parse_formula, render
     from .models import load_context, load_model
     from .semantics import SearchBounds, evaluate, find_countermodel
@@ -133,10 +100,10 @@ def _run_nonmono() -> Tuple[int, List[str], dict]:
         "monotonicity_countermodel": witness.to_json() if witness is not None else None,
     }
     code = 1 if (v1 and not v2 and witness is not None) else 0
-    return code, lines, payload
+    return code, payload, lines
 
 
-def _run_fact16() -> Tuple[int, List[str], dict]:
+def _run_fact16() -> Tuple[int, dict, List[str]]:
     from .formula import parse_formula, render
     from .lewis import RelationalModelV, eval_v
     from .models import Model
@@ -162,34 +129,29 @@ def _run_fact16() -> Tuple[int, List[str], dict]:
         "v_value_at_w1": v_value,
     }
     ok = witness is None and not v_value
-    return (0 if ok else 1), lines, payload
+    return (0 if ok else 1), payload, lines
 
 
-def _run_figure1() -> Tuple[int, List[str], dict]:
-    from .models import expected, hierarchy, load_context, load_model
+def _report(name: str, *args):
+    """An example that is the CLI report function ``cli.<name>`` on bundled data."""
+    def run() -> Tuple[int, dict, List[str]]:
+        from . import cli
 
-    model = load_model(FIGURE1_MODEL)
-    context = load_context(FIGURE1_CONTEXT, model)
-    levels = hierarchy(context)
-    e = expected(model, context)
-    lines = [
-        f"hierarchy: {[sorted(level) for level in levels]}",
-        f"expected states: {sorted(e)}",
-    ]
-    payload = {"hierarchy": [sorted(level) for level in levels], "expected": sorted(e)}
-    return 0, lines, payload
+        return getattr(cli, name)(*args)
+
+    return run
 
 
 EXAMPLES = {
-    "tiger": _run_tiger,
-    "reagan": _run_reagan,
+    "tiger": _report("eval_cmd", TIGER_MODEL, TIGER_CONTEXT, "w3", "[a_g]~a_d", True),
+    "reagan": _report("eval_cmd", REAGAN_MODEL, REAGAN_CONTEXT, "w1", "[~r][r | a]r", True),
     "nonmono": _run_nonmono,
     "fact16": _run_fact16,
-    "figure1": _run_figure1,
+    "figure1": _report("expected_cmd", FIGURE1_MODEL, FIGURE1_CONTEXT),
 }
 
 
-def run_example(name: str) -> Tuple[int, List[str], dict]:
+def run_example(name: str) -> Tuple[int, dict, List[str]]:
     return EXAMPLES[name]()
 
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from typing import Dict, Iterator, NamedTuple
+from typing import Callable, Dict, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -310,6 +310,34 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def atoms(f: Formula) -> frozenset:
     return frozenset(g.name for g in subformulas(f) if type(g) is Atom)
+
+
+def set_walk(world_set, extent: Callable, conditional: Callable) -> Callable[[Formula], object]:
+    """A walk giving each formula's world set, memoised per node.
+
+    Atoms take ``extent``, ``~`` and ``&`` act on sets, and any other node
+    takes ``conditional(node, walk)``, left to right.  A world set is a
+    frozenset of worlds or an int bitmask with ``world_set`` all its bits:
+    the walk uses ``world_set - x`` and ``x & y`` only.
+    """
+    memo: Dict[Formula, object] = {}
+
+    def walk(f: Formula):
+        stack = [f]  # a ~ or & waits under a None until its children are done: no recursion through them
+        while stack:
+            g = stack.pop()
+            if g is None:  # the next one's children are done
+                g = stack.pop()
+                memo[g] = world_set - memo[g.child] if type(g) is Not else memo[g.left] & memo[g.right]
+            elif g not in memo and (type(g) is Not or type(g) is And):
+                stack += (g, None, g.child) if type(g) is Not else (g, None, g.right, g.left)
+            elif g not in memo:
+                cls = type(g)
+                memo[g] = (extent(g.name) if cls is Atom else world_set - world_set if cls is Falsum
+                           else conditional(g, walk))
+        return memo[f]
+
+    return walk
 
 
 def dialect_of(f: Formula) -> str:

@@ -29,6 +29,7 @@ from .formula import (
     is_flat,
     is_propositional,
     render,
+    set_walk,
     translate_flat,
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
@@ -41,7 +42,6 @@ from .semantics import (
     evaluate,
     satisfying_witness,
     search_points,
-    set_walk,
 )
 
 OrderPairs = FrozenSet[Tuple[str, str]]

@@ -215,7 +215,8 @@ def update(context: Context, extent: Iterable[str], name: str = None) -> Context
 
     Set form: the new default outranks every other; priority pairs not
     involving it survive, old pairs involving it (identified by extent)
-    are dropped.  Sequence form: prepend.
+    are dropped.  Its ``name`` gets primes (``|p|'``, ``|p|''``, ...) while
+    it names another default that stays.  Sequence form: prepend.
     """
     extent = _world_set(extent)
     if isinstance(context, SequenceContext):
@@ -226,8 +227,8 @@ def update(context: Context, extent: Iterable[str], name: str = None) -> Context
         name = "|" + ",".join(sorted(extent)) + "|"
     defaults = {n: ws for n, ws in context.defaults.items() if ws != extent}
     order = {(a, b) for (a, b) in context.order if a in defaults and b in defaults}
-    if name in defaults:
-        raise SchemaError(f"default name {name!r} already names a different world set")
+    while name in defaults:
+        name += "'"
     order |= {(name, other) for other in defaults}
     defaults[name] = extent
     return OrderedDefaultSet(defaults, frozenset(order))

@@ -5,15 +5,19 @@ metavariables; instantiation is structural unification plus per-variable
 side conditions (propositional, closed).  Propositional reasoning is
 handled by a tautology rule: a step may be justified as a tautological
 consequence of earlier steps, decided by truth tables over skeletons in
-which maximal conditional subformulas are opaque atoms.  v1 is the flat
-restriction of the comparative-possibility system: every step formula
-must be flat.
+which maximal conditional subformulas are opaque atoms.  The table is
+bit-parallel: a formula's column of 2**n rows is one int, so a row costs
+a bit, not a walk, and a step whose rows x skeleton nodes exceed
+``MAX_TAUT_BITS`` (2**28) is refused with :class:`ProofError`.  v1 is the
+flat restriction of the comparative-possibility system: every step
+formula must be flat.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,6 +35,7 @@ from .formula import (
     atoms,
     parse_formula,
     render,
+    set_walk,
 )
 
 
@@ -138,45 +143,52 @@ def instantiate(schema: Schema, subst: Mapping[str, Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Tautology oracle over conditional-opaque skeletons
+# Tautology rule, bit-parallel over conditional-opaque skeletons
 # ---------------------------------------------------------------------------
 
 
-def _skeleton(f: Formula, table: Dict[Formula, str]) -> Formula:
-    """Replace maximal conditional subformulas by shared opaque atoms."""
-    if isinstance(f, (CondBox, CondCorner)):
-        if f not in table:
-            table[f] = f"_c{len(table)}"
-        return Atom(table[f])
-    if isinstance(f, Not):
-        return Not(_skeleton(f.child, table))
-    if isinstance(f, And):
-        return And(_skeleton(f.left, table), _skeleton(f.right, table))
-    return f
-
-
-def _truth(f: Formula, row: Mapping[str, bool]) -> bool:
-    if isinstance(f, Atom):
-        return row.get(f.name, False)
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Not):
-        return not _truth(f.child, row)
-    return _truth(f.left, row) and _truth(f.right, row)
+MAX_TAUT_BITS = 1 << 28  # truth-table rows x skeleton nodes: the columns held at once, 32 MiB
 
 
 def tautological_consequence(premises: Sequence[Formula], conclusion: Formula) -> bool:
-    table: Dict[Formula, str] = {}
-    skel_premises = [_skeleton(p, table) for p in premises]
-    skel_conclusion = _skeleton(conclusion, table)
-    names = sorted(set().union(*(
-        atoms(s) for s in skel_premises + [skel_conclusion]
-    )))
-    for bits in itertools.product([False, True], repeat=len(names)):
-        row = dict(zip(names, bits))
-        if all(_truth(p, row) for p in skel_premises) and not _truth(skel_conclusion, row):
-            return False
-    return True
+    """Whether ``conclusion`` is true at every truth-table row where all ``premises`` are.
+
+    The opaque parts are the atoms and the maximal conditionals; n of them
+    give 2**n rows.  A formula's column is an int whose bit r is its value
+    at row r: part i's column sets the rows whose bit i is set, and ``~``
+    and ``&`` act on whole columns (``formula.set_walk``).  The step holds
+    iff (AND of the premises' columns) & ~conclusion's column is 0.  Every
+    skeleton node's column is kept, so rows x nodes is capped at
+    ``MAX_TAUT_BITS``; a larger step raises :class:`ProofError`.
+    """
+    parts: Dict[Formula, int] = {}  # opaque part -> its column number
+    nodes, stack = set(), [*premises, conclusion]
+    while stack:
+        g = stack.pop()
+        if g not in nodes:
+            nodes.add(g)
+            if type(g) is Not:
+                stack.append(g.child)
+            elif type(g) is And:
+                stack += (g.left, g.right)
+            elif type(g) is not Falsum:
+                parts.setdefault(g, len(parts))
+    if len(nodes) << len(parts) > MAX_TAUT_BITS:
+        raise ProofError(f"taut step over {len(parts)} atoms and conditionals has 2**{len(parts)} rows "
+                         f"x {len(nodes)} nodes, over the cap of {MAX_TAUT_BITS} bits")
+    rows = 1 << len(parts)
+    full = (1 << rows) - 1
+
+    def column(g: Formula, walk=None) -> int:
+        half = 1 << parts[g]
+        mask, width = ((1 << half) - 1) << half, 2 * half  # the rows < width with bit parts[g] set
+        while width < rows:
+            mask, width = mask | mask << width, 2 * width
+        return mask
+
+    walk = set_walk(full, lambda name: column(Atom(name)), column)
+    held = functools.reduce(operator.and_, map(walk, premises), full)
+    return not held & (full - walk(conclusion))
 
 
 def is_tautology(f: Formula) -> bool:

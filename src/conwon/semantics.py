@@ -98,6 +98,7 @@ from .formula import (
     Formula,
     Not,
     render,
+    set_walk,
 )
 from .models import (
     Context,
@@ -159,32 +160,6 @@ class ConditionalStep(Record):
 
 
 EvalTrace = List[ConditionalStep]
-
-
-def set_walk(world_set: FrozenSet[str], extent: Callable[[str], FrozenSet[str]],
-             conditional: Callable) -> Callable[[Formula], FrozenSet[str]]:
-    """A walk giving each formula's world set, memoised per node.
-
-    Atoms take ``extent``, ``~`` and ``&`` act on sets, and any other node
-    takes ``conditional(node, walk)``, left to right.
-    """
-    memo: Dict[Formula, FrozenSet[str]] = {}
-
-    def walk(f: Formula) -> FrozenSet[str]:
-        stack = [f]  # a ~ or & waits under a None until its children are done: no recursion through them
-        while stack:
-            g = stack.pop()
-            if g is None:  # the next one's children are done
-                g = stack.pop()
-                memo[g] = world_set - memo[g.child] if type(g) is Not else memo[g.left] & memo[g.right]
-            elif g not in memo and (type(g) is Not or type(g) is And):
-                stack += (g, None, g.child) if type(g) is Not else (g, None, g.right, g.left)
-            elif g not in memo:
-                cls = type(g)
-                memo[g] = extent(g.name) if cls is Atom else frozenset() if cls is Falsum else conditional(g, walk)
-        return memo[f]
-
-    return walk
 
 
 def truth_set(model: Model, context: Optional[Context], f: Formula,

@@ -40,6 +40,7 @@ from conwon.formula import (
     ParseError,
     PossiblyV,
     SomeWorld,
+    atoms,
     is_propositional,
 )
 from conwon.lewis import PseudoSphereModelV
@@ -438,3 +439,42 @@ def _render(f: Formula, need: int) -> str:
 
 def reference_render(f: Formula) -> str:
     return _render(f, 0)
+
+
+# --- reference tautology oracle -------------------------------------------------
+# Maximal conditionals become shared opaque atoms, and every truth-table row
+# is walked recursively.
+
+
+def _skeleton(f: Formula, table: dict) -> Formula:
+    if isinstance(f, (CondBox, CondCorner)):
+        if f not in table:
+            table[f] = f"_c{len(table)}"
+        return Atom(table[f])
+    if isinstance(f, Not):
+        return Not(_skeleton(f.child, table))
+    if isinstance(f, And):
+        return And(_skeleton(f.left, table), _skeleton(f.right, table))
+    return f
+
+
+def _truth(f: Formula, row: dict) -> bool:
+    if isinstance(f, Atom):
+        return row.get(f.name, False)
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, Not):
+        return not _truth(f.child, row)
+    return _truth(f.left, row) and _truth(f.right, row)
+
+
+def reference_tautological_consequence(premises: Sequence[Formula], conclusion: Formula) -> bool:
+    table: dict = {}
+    skel_premises = [_skeleton(p, table) for p in premises]
+    skel_conclusion = _skeleton(conclusion, table)
+    names = sorted(set().union(*(atoms(s) for s in skel_premises + [skel_conclusion])))
+    for bits in itertools.product([False, True], repeat=len(names)):
+        row = dict(zip(names, bits))
+        if all(_truth(p, row) for p in skel_premises) and not _truth(skel_conclusion, row):
+            return False
+    return True

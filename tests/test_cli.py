@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conwon import cli, fixtures
 from conwon.cli import build_parser
 from conwon.errors import InputError
 from conwon.fixtures import (
@@ -63,7 +64,7 @@ def test_help_exit_0(path):
 
 @pytest.mark.parametrize("error", [ParseError, SchemaError, ProofError, RewriteError, EvaluationError])
 def test_input_errors_share_one_base(error):
-    # guarded maps exactly these to exit 2 by catching their base class
+    # main maps exactly these to exit 2 by catching their base class
     assert issubclass(error, InputError)
 
 
@@ -177,6 +178,22 @@ def test_eval_unknown_world_exit_2(tiger_files):
 
 
 # --- expected / update ----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["eval", "--formula", "[p]q", "--world", "w1"], ["update", "--alpha", "p"]],
+                         ids=lambda argv: argv[0])
+def test_generated_default_name_taken_by_another_default(tmp_path, argv):
+    # the context's own |p| names {w2}; updating with p generates {w1}, named |p|'
+    model, context = tmp_path / "model.json", tmp_path / "context.json"
+    model.write_text(json.dumps({"worlds": ["w1", "w2"], "valuation": {"p": ["w1"], "q": ["w1"]}}))
+    context.write_text(json.dumps({"kind": "ordered-set", "defaults": {"|p|": ["w2"]}, "order": []}))
+    result = invoke([*argv, "--model", str(model), "--context", str(context), "--output", "json"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    if argv[0] == "eval":
+        assert payload["value"] is True
+    else:
+        assert payload["context"]["defaults"] == {"|p|": ["w2"], "|p|'": ["w1"]}
 
 
 def test_expected_json(tiger_files):
@@ -472,6 +489,42 @@ def test_examples_run_all():
 def test_examples_unknown_name():
     result = invoke(["examples", "run", "nope"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("output", ["human", "json"])
+@pytest.mark.parametrize("name, argv", [
+    ("tiger", ["eval", "--world", "w3", "--formula", "[a_g]~a_d", "--trace"]),
+    ("reagan", ["eval", "--world", "w1", "--formula", "[~r][r | a]r", "--trace"]),
+    ("figure1", ["expected"]),
+])
+def test_example_prints_what_its_command_prints(tmp_path, name, argv, output):
+    model, context = tmp_path / "model.json", tmp_path / "context.json"
+    model.write_text(json.dumps(getattr(fixtures, f"{name.upper()}_MODEL")))
+    context.write_text(json.dumps(getattr(fixtures, f"{name.upper()}_CONTEXT")))
+    command = invoke([*argv, "--model", str(model), "--context", str(context), "--output", output])
+    assert command.exit_code in (0, 1)
+    assert invoke(["examples", "run", name, "--output", output]) == command
+
+
+def test_report_functions_return_and_print_nothing(tiger_files, tmp_path, capsys):
+    model, context = tiger_files
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps(VALID_PROOF))
+    reports = [
+        cli.parse_cmd("[p]q", "conwon"),
+        cli.eval_cmd(model, context, "w3", "[a_g]~a_d", True),
+        cli.expected_cmd(model, context),
+        cli.update_cmd(model, context, "a_g"),
+        cli.reduce_cmd("[p][q]r"),
+        cli.falsify_cmd("[p]q -> [p & ~q]q", 2, 3),
+        cli.compare_v_cmd("[p]q", 2, 3, "conwon"),
+        cli.check_proof_cmd(str(proof), None),
+        *(cli.examples_run(name) for name in cli.EXAMPLE_NAMES),
+    ]
+    assert capsys.readouterr() == ("", "")
+    for code, payload, lines in reports:
+        assert code in (0, 1) and isinstance(payload, dict)
+        assert lines and all(isinstance(line, str) for line in lines)
 
 
 # --- fuzzing the front end ------------------------------------------------

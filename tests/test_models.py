@@ -163,6 +163,16 @@ def test_update_set_form_replaces_equal_extent():
     assert not updated.prefers("D1", "D2new")
 
 
+
+def test_update_set_form_primes_a_name_taken_by_another_default():
+    # the generated name |p| already names {w2}, which stays: the new default is |p|'
+    ctx = OrderedDefaultSet({"|p|": fs("w2"), "|p|'": fs("w3")})
+    updated = update(ctx, fs("w1"), name="|p|")
+    assert updated.defaults == {"|p|": fs("w2"), "|p|'": fs("w3"), "|p|''": fs("w1")}
+    assert hierarchy(updated)[0] == fs("|p|''")
+    # a name whose own default is replaced is free again
+    assert set(update(ctx, fs("w2"), name="|p|").defaults) == {"|p|", "|p|'"}
+
 # --- cores ----------------------------------------------------------------
 
 

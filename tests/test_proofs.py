@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conwon.fixtures import INVALID_PROOFS, VALID_PROOF
-from conwon.formula import Atom, CondBox, Implies, Not, atoms, parse_formula, subformulas
+from conwon.formula import And, Atom, CondBox, Implies, Not, Or, atoms, parse_formula, subformulas
 from conwon.lewis import satisfying_witness_v
 from conwon.proofs import (
     CLOSED,
@@ -30,7 +31,7 @@ from conwon.proofs import (
     tautological_consequence,
 )
 from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, find_countermodel
-from conftest import random_formula
+from conftest import invoke, random_formula, reference_tautological_consequence
 
 
 def pf(text):
@@ -101,6 +102,52 @@ def test_tautology_oracle_treats_conditionals_opaquely():
     # identical conditionals share one opaque atom
     assert tautological_consequence([], pf("[p]q -> [p]q"))
 
+
+def taut_battery(seed: int, count: int):
+    """(premises, conclusion) over at most 8 atoms and conditionals: random
+    conclusions, and ones built from the premises, so that both verdicts occur."""
+    rng = random.Random(seed)
+    names = ("p", "q", "r", "s")
+    while count:
+        premises = [random_formula(rng, names, 1, size=3) for _ in range(rng.randrange(4))]
+        pool = premises + [random_formula(rng, names, 1, size=3)]
+        a, b = rng.choice(pool), rng.choice(pool)
+        conclusion = rng.choice([pool[-1], Or(a, b), Implies(a, a), Or(a, Not(b)), And(a, b), Not(And(a, Not(a)))])
+        parts = {g for f in [*premises, conclusion] for g in subformulas(f) if type(g) in (Atom, CondBox)}
+        if len(parts) <= 8:
+            count -= 1
+            yield premises, conclusion
+
+
+def test_taut_agrees_with_the_reference():
+    verdicts = []
+    for premises, conclusion in taut_battery(20, 400):
+        verdict = tautological_consequence(premises, conclusion)
+        assert verdict == reference_tautological_consequence(premises, conclusion), (premises, conclusion)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 350
+
+
+def taut_proof(tmp_path, formula: str) -> str:
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps({"system": "conwon", "steps": [{"formula": formula, "by": {"rule": "taut"}}]}))
+    return str(path)
+
+
+def test_taut_step_nested_1200_deep_exit_0(tmp_path):
+    result = invoke(["check-proof", taut_proof(tmp_path, "~" * 1200 + "[p]q <-> [p]q")])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "accepted\n"
+
+
+def test_taut_step_over_the_cap_exit_2(tmp_path):
+    ors = " | ".join(f"a{i}" for i in range(40))
+    start = time.monotonic()
+    result = invoke(["check-proof", taut_proof(tmp_path, f"({ors}) -> ({ors})")])
+    assert time.monotonic() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: taut step over 40 atoms") and result.stderr.count("\n") == 1
 
 # --- checking proofs ------------------------------------------------------
 
