@@ -303,8 +303,7 @@ def satisfying_witness_v(f: Formula, max_worlds: int,
     """
     compiled = CompiledFormula(f)
     bounds = SearchBounds(max_worlds, max_worlds, max_enumeration)
-    [witness] = search_points(compiled, [(compiled.root,)], bounds, lambda masks, full: masks[0])
-    return v_witness(f, witness)
+    return v_witness(f, search_points(compiled, (compiled.root,), bounds, lambda masks, full: masks[0]))
 
 
 def v_witness(f: Formula, witness: Optional[ContextualizedPointedModel]):

@@ -30,8 +30,8 @@ from .formula import (
     Falsum,
     Formula,
     Not,
-    Or,
     ParseError,
+    SomeWorld,
     atoms,
     parse_formula,
     render,
@@ -407,68 +407,109 @@ _CLOSED_POOL = ("[p]q", "~[p]q", "E p")
 
 
 class SweepReport(Record):
-    __slots__ = ("system", "instances", "failures", "nodes", "blocks")  # DAG nodes lowered, evaluator blocks run
+    __slots__ = ("system", "instances", "failures")  # instances: the searches run
 
-    def __init__(self, system: str, instances: int = 0, failures: Optional[List[str]] = None, nodes: int = 0,
-                 blocks: int = 0):
-        self._assign(system, instances, [] if failures is None else failures, nodes, blocks)
+    def __init__(self, system: str, instances: int = 0, failures: Optional[List[str]] = None):
+        self._assign(system, instances, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def sweep_substitutions(system: str) -> Iterator[Tuple[Schema, List[Dict[str, Formula]]]]:
-    """Each axiom schema of ``system`` with the substitutions its soundness sweep tries."""
-    dialect = SYSTEMS[system]["dialect"]
+def instance_pool(schema: Schema, dialect: str) -> List[Dict[str, Formula]]:
+    """The substitutions of ``schema`` over small formula pools, each metavariable's pool fitting its condition."""
     pools = {
         PROP: [parse_formula(t, dialect=dialect) for t in _PROP_POOL],
         CLOSED: [parse_formula(t, dialect="conwon") for t in _CLOSED_POOL],
-        None: [parse_formula(t, dialect=dialect)
-               for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
+        None: [parse_formula(t, dialect=dialect) for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
     }
+    variables = tuple(sorted(atoms(schema.template)))
+    return [dict(zip(variables, combo))
+            for combo in itertools.product(*(pools[schema.conditions.get(v)] for v in variables))]
+
+
+def generic_substitution(schema: Schema) -> Optional[Dict[str, Formula]]:
+    """x_v for each metavariable v, ``E c_v`` where v must be closed; ``None`` if one fails the occurrence condition.
+
+    The condition: v is propositional, or all its occurrences sit under the
+    same sequence of box antecedents.
+    """
+    paths: Dict[str, set] = {}  # metavariable -> the antecedent sequences above its occurrences
+    seen, stack = set(), [(schema.template, ())]
+    while stack:
+        t, path = stack.pop()
+        if (t, path) not in seen:
+            seen.add((t, path))
+            if type(t) is Atom:
+                paths.setdefault(t.name, set()).add(path)
+            elif type(t) is CondBox:
+                stack += (t.antecedent, path), (t.consequent, path + (t.antecedent,))
+            else:
+                stack += ((child, path) for child in t.children())
+    if any(len(found) > 1 and schema.conditions.get(v) != PROP for v, found in paths.items()):
+        return None
+    return {v: SomeWorld(Atom(f"c_{v}")) if schema.conditions.get(v) == CLOSED else Atom(f"x_{v}")
+            for v in paths}
+
+
+def sweep_substitutions(system: str) -> Iterator[Tuple[Schema, List[Dict[str, Formula]]]]:
+    """Each axiom schema of ``system`` with the substitutions its soundness sweep tries.
+
+    The generic one where every metavariable meets the occurrence
+    condition, else every substitution of :func:`instance_pool`.
+    """
     for schema in SYSTEMS[system]["axioms"]:
-        variables = tuple(sorted(atoms(schema.template)))
-        combos = itertools.product(*(pools[schema.conditions.get(v)] for v in variables))
-        yield schema, [dict(zip(variables, combo)) for combo in combos]
+        generic = generic_substitution(schema)
+        yield schema, [generic] if generic is not None else instance_pool(schema, SYSTEMS[system]["dialect"])
 
 
 def soundness_sweep(system: str, bounds) -> SweepReport:
-    """Search for countermodels to axiom instances, one search per schema; failures falsify soundness.
+    """Search for countermodels to each axiom schema of ``system``; failures falsify soundness.
 
-    A schema's instances alike in atoms and in having conditionals are one
-    multiplexed formula, searched side by side (``semantics``, Instances
-    side by side); only an instance with a countermodel is built, to
-    re-check the witness.
+    One search per substitution of :func:`sweep_substitutions`: for every
+    real schema that is one search, on the generic instance.  Each witness
+    is re-checked by an independent evaluator, ``semantics.evaluate`` or
+    ``lewis.eval_v``, before it is reported.
+
+    Lemma (uniform substitution; Blackburn, de Rijke & Venema, *Modal
+    Logic*, 2001, 1.6).  Let every metavariable of the template t be
+    propositional or have all its occurrences under one sequence P_v of box
+    antecedents.  If an instance s(t) is false at (M, X, w), the generic
+    instance g(t), x_v for v and ``E c_v`` for a closed v, is false at
+    (M', X, w), where M' has M's worlds and values x_v, c_v at s(v)'s
+    extension in M at the context X_v that P_v leads to (any context, v
+    propositional).  For c_v that extension is all worlds or none, as s(v)
+    is closed, and ``E c_v`` holds everywhere iff c_v is nonempty, so it
+    has that same extension.  Induction on template paths: a subterm u at
+    antecedent path P is evaluated in both at the context X updated by
+    P's antecedents, which by induction have equal extensions, so the
+    contexts are equal; atoms agree by the choice of M', and ``~``, ``&``
+    and a box then agree at equal contexts.  ``|>`` does not update the
+    chain, so every metavariable of a V schema meets the condition.  g(t)
+    is itself an instance: x_v is propositional and ``E c_v`` closed.  So
+    "g(t) valid up to bounds B" means every instance is, not just a
+    pool's, and a countermodel to g(t) refutes the schema.  A closed v
+    needs a closed stand-in: with an atom y for chi, 2b's
+    ``[a](x | y) <-> ([a]x | [a]y)`` is falsified where y splits a's
+    expected worlds, though no instance of 2b is.  A schema that fails the
+    condition, such as ``chi -> [alpha]chi``, has its pool's instances
+    searched one at a time.
     """
     from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
     from .lewis import v_witness
 
     dialect = SYSTEMS[system]["dialect"]
     bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds, bounds.max_enumeration) if dialect == "v" else bounds
-    report, atoms_of = SweepReport(system), functools.lru_cache(maxsize=None)(atoms)
+    report = SweepReport(system)
     for schema, substs in sweep_substitutions(system):
-        names: Dict[Tuple[str, Formula], str] = {}  # (metavariable, formula) -> its selector atom
-        selected = [frozenset([names.get(vf) or names.setdefault(vf, f"{vf[0]}#{len(names)}") for vf in s.items()])
-                    for s in substs]
-        keys = [(frozenset().union(*map(atoms_of, s.values())), schema.template.depth > 0
-                 or any(f.depth for f in s.values())) for s in substs]
-        groups: Dict[tuple, set] = {}  # instances alike in atoms and in having conditionals -> their selectors
-        for key, on in zip(keys, selected):
-            groups.setdefault(key, set()).update(on)
-        compiled, roots = CompiledFormula(), {}
-        for key, on in groups.items():  # v: (f1 & v#1) | ... | (fm & v#m) over the fi the group puts at v
-            mux = {v: functools.reduce(Or, [And(f, Atom(b)) for (u, f), b in names.items() if u == v and b in on])
-                   for v in substs[0]}
-            roots[key] = (compiled.add(instantiate(schema, mux)),)
-        witnesses = search_points(compiled, [roots[key] for key in keys], bounds, falsified, selected)
-        report.instances += len(substs)
-        report.nodes += len(compiled.nodes)
-        report.blocks += compiled.blocks
-        for subst, witness in zip(substs, witnesses):
+        for subst in substs:
+            instance = instantiate(schema, subst)
+            compiled = CompiledFormula(instance)
+            witness = search_points(compiled, (compiled.root,), bounds, falsified)
+            report.instances += 1
             if witness is None:
                 continue
-            instance = instantiate(schema, subst)
             if dialect == "conwon":
                 recheck_countermodel(instance, witness)
                 report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")

@@ -60,24 +60,10 @@ segment may keep a repeat, a leading W or an empty tail; read in one
 segment it is still a decreasing sequence with that segment's updated
 chain as normal form, and none of those entries changes a last nonempty
 a & S_j.  By induction each segment's masks are its valuation's alone.
-The order stays |W|, valuation, chain: a block gives each query its
-lowest segment that any chain picks, at the first chain that picks it.
-
-Instances side by side.  The instances of a template t alike in atoms and
-in having conditionals, hence in their points, are searched as one formula:
-each metavariable v becomes the multiplexer (f1 & v#1) | ... | (fm & v#m),
-f1...fm the formulas they put at v, v#i fresh selector atoms ('#' is in
-no parsed name); its other atoms are then each instance's.  A block packs
-(instance, type set) pairs, each instance a run of segments, and v#i is
-all of instance j's segments if j puts f_i at v, none of them otherwise.
-So a selector is constant in each segment and there, under every chain,
-the multiplexer has the mask of the f_i its instance picks; a node's mask
-is read off its children's masks and the chain, so by induction on t each
-segment of instance j holds instance j's own masks, and the bit-slicing
-above applies as it stands.  Selectors are not enumerated and add no world
-or type: each instance meets its own points in its own order.  A block
-holds at most ``BLOCK_BITS // |W|`` pairs (at least one), cutting
-instances and type sets across blocks: no mask exceeds max(BLOCK_BITS, |W|).
+The order stays |W|, valuation, chain: a block's pick is its lowest
+segment that any chain picks, at the first chain that picks it.  A block
+holds at most ``BLOCK_BITS // |W|`` type sets (at least one), so no mask
+exceeds max(BLOCK_BITS, |W|).
 """
 
 from __future__ import annotations
@@ -86,7 +72,7 @@ import functools
 import itertools
 from collections import defaultdict
 from math import comb
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import FrozenRecord, InputError, Record
 from .formula import (
@@ -217,8 +203,8 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 
 Chain = Tuple[int, ...]
 
-# Most bits a block of (query, valuation) pairs packs into one mask (at
-# least one pair).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
+# Most bits a block of valuations packs into one mask (at least one
+# valuation).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
 # bytes plus an int's header; a block keeps one table per chain it meets.
 BLOCK_BITS = 512
 
@@ -265,7 +251,6 @@ class CompiledFormula:
         self._index: Dict[tuple, int] = {}
         self._lowered: Dict[Formula, int] = {}  # each formula added, and its subformulas -> node
         self._plans: Dict[int, List[tuple]] = {}
-        self.blocks = 0  # evaluator blocks searches have run over these nodes
         if f is not None:
             self.root = self.add(f)
 
@@ -472,96 +457,66 @@ class SearchBounds(FrozenRecord):
 
 def search_points(
     compiled: CompiledFormula,
-    queries: Sequence[Tuple[int, ...]],
+    roots: Tuple[int, ...],
     bounds: SearchBounds,
     select: Callable[[List[int], int], int],
-    selected: Optional[Sequence[FrozenSet[str]]] = None,
-) -> List[Optional[ContextualizedPointedModel]]:
-    """The one enumeration loop: for each query, the first point ``select`` picks, or ``None``.
+) -> Optional[ContextualizedPointedModel]:
+    """The one enumeration loop: the first point ``select`` picks for ``roots``, or ``None``.
 
-    A query is a tuple of roots in ``compiled``; ``selected[k]``, if given,
-    names the selector atoms true at all worlds of query k, the others that
-    queries with its roots name false at all (see Instances side by side).
-    For each roots in turn, goes over |W| (at most the 2^k types of its k
-    other atoms), canonical valuations and chains of length <= the context
-    bound (only the empty chain without conditionals), its queries side by
-    side; a query leaves after the block that holds its first pick.
-    ``select(masks, full)`` maps the roots' truth masks to the worlds to
-    report (the lowest is); the chain is the witness context, (W) if empty.
-    ``select`` must act world by world, each bit of its result read off the
-    same bit of the masks and of ``full``: it runs on a block side by side.
-    Raises EvaluationError when the (valuation, chain) pairs of one roots
-    exceed ``bounds.max_enumeration``.
+    Goes over |W| (at most the 2^k types of the roots' k atoms), canonical
+    valuations, a block of them side by side, and chains of length <= the
+    context bound (only the empty chain without conditionals), and stops
+    after the block that holds the first pick.  ``select(masks, full)``
+    maps the roots' truth masks to the worlds to report (the lowest is);
+    the chain is the witness context, (W) if empty.  ``select`` must act
+    world by world, each bit of its result read off the same bit of the
+    masks and of ``full``: it runs on a block side by side.  Raises
+    EvaluationError when the (valuation, chain) pairs exceed
+    ``bounds.max_enumeration``.
     """
-    groups: Dict[Tuple[int, ...], Dict[int, FrozenSet[str]]] = {}
-    for k, (roots, on) in enumerate(zip(queries, selected or itertools.repeat(frozenset()))):
-        groups.setdefault(roots, {})[k] = on
-    found: List[Optional[ContextualizedPointedModel]] = [None] * len(queries)
-    for roots, active in groups.items():
-        selectors = frozenset().union(*active.values())
-        names = tuple(sorted(a for a, bit in compiled.atom_bit.items() if a not in selectors
-                             and any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
-        max_len = bounds.max_context_len if max(compiled.depths[r] for r in roots) else 0
-        total = 0
-        for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
-            total += comb(1 << len(names), n) * chain_count(n, max_len)
-            if total > bounds.max_enumeration:
-                raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
-                                      f"exceeds the cap of {bounds.max_enumeration}")
-        for n, valuation, ev, candidates, (ks, run) in _valuations(compiled, names, max_len, bounds.max_worlds,
-                                                                   active):
-            truth_mask, full, low, width = ev.truth_mask, ev.full, ev.low, len(run) * n
-            limit, picks = full, {}  # limit: the segments before each query's pick
-            for chain in candidates:
-                packed = chain if low == 1 else tuple(s * low for s in chain)  # one segment: no new key
-                picked = select([truth_mask(roots[0], packed)] if len(roots) == 1  # one root: no comprehension
-                                else [truth_mask(r, packed) for r in roots], full) & limit
-                while picked:  # a query's lowest bit: a later chain may still pick an earlier segment
-                    bit = (picked & -picked).bit_length() - 1
-                    end = bit - bit % width + width  # past the query's bits
-                    picks[ks[bit // width]] = bit // n, bit % n, chain
-                    limit &= ~((1 << end) - (1 << bit - bit % n))
-                    picked &= -1 << end
+    names = tuple(sorted(a for a, bit in compiled.atom_bit.items()
+                         if any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
+    max_len = bounds.max_context_len if max(compiled.depths[r] for r in roots) else 0
+    total = 0
+    for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
+        total += comb(1 << len(names), n) * chain_count(n, max_len)
+        if total > bounds.max_enumeration:
+            raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
+                                  f"exceeds the cap of {bounds.max_enumeration}")
+    for n, valuation, ev, candidates in _valuations(compiled, names, max_len, bounds.max_worlds):
+        truth_mask, full, low = ev.truth_mask, ev.full, ev.low
+        limit, pick = full, None  # limit: the segments below the pick
+        for chain in candidates:
+            packed = chain if low == 1 else tuple(s * low for s in chain)  # one segment: no new key
+            picked = select([truth_mask(roots[0], packed)] if len(roots) == 1  # one root: no comprehension
+                            else [truth_mask(r, packed) for r in roots], full) & limit
+            if picked:  # its lowest bit: a later chain may still pick an earlier segment
+                bit = (picked & -picked).bit_length() - 1
+                pick, limit = (bit // n, bit % n, chain), (1 << bit - bit % n) - 1
                 if not limit:
                     break
+        if pick:
+            segment, world, chain = pick
             worlds = tuple(f"w{i + 1}" for i in range(n))
-            for k, (segment, world, chain) in picks.items():  # k leaves the search
-                model = Model(worlds, {a: mask_to_worlds(valuation[a] >> segment * n, worlds) for a in names})
-                context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
-                found[k] = ContextualizedPointedModel(model, SequenceContext(context), worlds[world])
-                del active[k]
-    return found
+            model = Model(worlds, {a: mask_to_worlds(valuation[a] >> segment * n, worlds) for a in names})
+            context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
+            return ContextualizedPointedModel(model, SequenceContext(context), worlds[world])
+    return None
 
 
-def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int,
-                active: Optional[Dict[int, FrozenSet[str]]] = None):
-    """(|W|, valuation, evaluator, the chains to try, (queries, type sets)) of each block, in search order.
+def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
+    """(|W|, valuation, evaluator, the chains to try) of each block, in search order.
 
-    ``active``, read before each run of t consecutive type sets, maps the
-    queries still searching to their true selector atoms (by default one
-    query, none).  A block packs up to ``BLOCK_BITS // |W|`` (query, type
-    set) pairs, at least one: segment s*t + j holds the j-th of the run for
-    the block's s-th query.
+    A block packs up to ``BLOCK_BITS // |W|`` consecutive type sets, at
+    least one: segment s holds the s-th.
     """
-    active, key = {0: frozenset()} if active is None else active, None
     for n in range(1, min(max_worlds, 1 << len(names)) + 1):
-        pairs, combinations = max(1, BLOCK_BITS // n), itertools.combinations(range(1 << len(names)), n)
-        while active and (run := tuple(itertools.islice(combinations, max(1, pairs // len(active))))):
-            width, live, step = len(run) * n, tuple(active.items()), max(1, pairs // len(run))
-            candidates = chains(n, min(max_len, n - 1))  # only while a query searches: larger |W| cost more
-            masks = {a: sum(1 << s * n + w for s, types in enumerate(run) for w, t in enumerate(types) if t >> i & 1)
-                     for i, a in enumerate(names)}
-            for start in range(0, len(live), step):
-                block = live[start:start + step]
-                if key != (block, width):  # the same queries, runs as long: the same selectors
-                    key, starts, on = (block, width), ((1 << width * len(block)) - 1) // ((1 << width) - 1), {}
-                    for s, (_, selectors) in enumerate(block):  # starts: bit 0 of each query's run
-                        for b in selectors:
-                            on[b] = on.get(b, 0) | ((1 << width) - 1) << s * width
-                valuation = {a: m * starts for a, m in masks.items()} | on
-                compiled.blocks += 1
-                yield (n, valuation, ModelEvaluator(compiled, n, valuation, len(block) * len(run)), candidates,
-                       ([k for k, _ in block], run))
+        combinations = itertools.combinations(range(1 << len(names)), n)
+        candidates = chains(n, min(max_len, n - 1))  # only once the search reaches n: larger |W| cost more
+        while run := tuple(itertools.islice(combinations, max(1, BLOCK_BITS // n))):
+            valuation = {a: sum(1 << s * n + w for s, types in enumerate(run) for w, t in enumerate(types)
+                                if t >> i & 1) for i, a in enumerate(names)}
+            yield n, valuation, ModelEvaluator(compiled, n, valuation, len(run)), candidates
 
 
 def falsified(masks: List[int], full: int) -> int:
@@ -586,8 +541,7 @@ def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[Contextualiz
     :func:`evaluate`.
     """
     compiled = CompiledFormula(f)
-    [witness] = search_points(compiled, [(compiled.root,)], bounds, falsified)
-    return recheck_countermodel(f, witness)
+    return recheck_countermodel(f, search_points(compiled, (compiled.root,), bounds, falsified))
 
 
 def is_valid_up_to(f: Formula, bounds: SearchBounds) -> bool:
@@ -618,7 +572,7 @@ def truth_masks_agree(
     compiled = CompiledFormula()
     query = (compiled.add(f), compiled.add(g))
     bounds = SearchBounds(max_worlds, max_context_len)
-    [witness] = search_points(compiled, [query], bounds, lambda masks, full: masks[0] ^ masks[1])
+    witness = search_points(compiled, query, bounds, lambda masks, full: masks[0] ^ masks[1])
     if witness is not None and eval_cpm(witness, f) == eval_cpm(witness, g):
         raise RuntimeError(
             f"kernel disagreement of {render(f)} and {render(g)} does not hold up: {witness.to_json()}"

@@ -5,7 +5,6 @@ the live test output even with capture enabled.
 """
 
 import itertools
-import json
 import random
 import time
 
@@ -30,7 +29,7 @@ from conwon.lewis import (
     ordered_partitions,
     partition_to_context,
 )
-from conwon.models import Model, SequenceContext, core, expected, load_context, load_model
+from conwon.models import Model, SequenceContext, core, load_context, load_model
 from conwon.proofs import check_proof, load_proof, soundness_sweep
 from conwon.reduction import sigma
 from conwon.semantics import (

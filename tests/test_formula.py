@@ -17,7 +17,6 @@ from conwon.formula import (
     FALSUM,
     Falsum,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
@@ -27,8 +26,6 @@ from conwon.formula import (
     classify,
     dialect_of,
     is_closed,
-    is_flat,
-    is_propositional,
     modal_depth,
     parse_formula,
     render,

@@ -5,6 +5,7 @@ Every check runs in a fresh interpreter with bytecode caching off, so that
 ``sys.modules`` starts empty and the import cost is what a user pays.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ import pytest
 from conwon import fixtures
 from conwon.cli import EXAMPLE_NAMES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # ``conwon.__all__`` as it was when the package imported every module eagerly
 PUBLIC_NAMES = [
@@ -162,3 +164,31 @@ def test_public_names_resolve_lazily():
     assert unresolved == []
     assert set(out["loaded"]) == {"errors", "formula", "models", "semantics", "reduction",
                                   "lewis", "proofs"}
+
+
+def unused_imports(source: str):
+    """(line, name) of each name ``source`` imports and never reads.
+
+    A name is read if it occurs as an ``ast.Name`` (``x`` in ``x.y``
+    included) or as a string in the value of ``__all__`` or
+    ``_MODULE_OF``; ``from __future__`` imports are skipped.
+    """
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("__all__", "_MODULE_OF")
+                                                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for name in (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            if name not in used]
+
+
+def test_no_unused_imports():
+    assert unused_imports("import os, json as j\nfrom a import b, c\nfrom __future__ import annotations\n"
+                          "__all__ = ['c']\nos.sep\n") == [(1, "j"), (2, "b")]
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted([*SRC.rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+             for line, name in unused_imports(path.read_text())]
+    assert found == []

@@ -20,7 +20,7 @@ from conwon.lewis import (
     universal_to_sphere,
 )
 from conwon.models import Model, SchemaError
-from conwon.semantics import EvaluationError, SearchBounds, is_valid_up_to
+from conwon.semantics import EvaluationError, SearchBounds
 from conftest import formula_battery, iter_pseudo_sphere_models
 
 

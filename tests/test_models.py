@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest

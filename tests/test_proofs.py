@@ -9,19 +9,22 @@ from pathlib import Path
 import pytest
 
 from conwon.fixtures import INVALID_PROOFS, VALID_PROOF
-from conwon.formula import And, Atom, CondBox, Implies, Not, Or, atoms, parse_formula, subformulas
+from conwon.formula import And, Atom, CondBox, Implies, Not, Or, atoms, parse_formula, render, subformulas
 from conwon.lewis import satisfying_witness_v
 from conwon.proofs import (
     CLOSED,
     CONWON_AXIOMS,
     PROP,
     RULES,
+    SCHEMAS,
     SYSTEMS,
     V_AXIOMS,
     ProofError,
     ProofStep,
     Schema,
     check_proof,
+    generic_substitution,
+    instance_pool,
     instantiate,
     is_tautology,
     load_proof,
@@ -30,7 +33,7 @@ from conwon.proofs import (
     sweep_substitutions,
     tautological_consequence,
 )
-from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, find_countermodel
+from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, find_countermodel
 from conftest import invoke, random_formula, reference_tautological_consequence
 
 
@@ -257,11 +260,28 @@ def test_soundness_sweep_smoke():
 
 
 def test_soundness_sweep_instance_counts():
-    # every instance of every schema is searched, one search per schema
+    # every real schema meets the occurrence condition: one search, on its generic instance
     conwon = soundness_sweep("conwon", SearchBounds(2, 5))
     v1 = soundness_sweep("v1", SearchBounds(2, 5))
-    assert (conwon.instances, v1.instances) == (1025, 630)
+    assert (conwon.instances, v1.instances) == (9, 6)
     assert conwon.ok and v1.ok
+
+
+@pytest.mark.parametrize("bounds", [(3, 5), (4, 3)])
+def test_generic_instances_hold(bounds):
+    # each real schema's generic instance is an instance of it and has no
+    # countermodel; 2b without its closed condition has one, so the E c
+    # stand-in for chi is what keeps 2b's generic instance valid
+    for system, spec in SYSTEMS.items():
+        for schema, substs in sweep_substitutions(system):
+            assert substs == [generic_substitution(schema)]
+            assert match_schema(schema, instantiate(schema, substs[0])) == substs[0]
+        report = soundness_sweep(system, SearchBounds(*bounds))
+        assert report.ok and report.instances == len(spec["axioms"])
+    two_b = SCHEMAS["conwon.2b"]
+    assert render(instantiate(two_b, generic_substitution(two_b))) == render(
+        pf("[x_alpha](x_phi | E c_chi) <-> ([x_alpha]x_phi | [x_alpha]E c_chi)"))
+    assert find_countermodel(pf("[a](x | y) <-> ([a]x | [a]y)"), SearchBounds(*bounds)) is not None
 
 
 def test_sweeps_keep_the_enumeration_cap():
@@ -297,8 +317,7 @@ def _plan_roots(compiled, root):
 
 
 def test_sweeps_walk_each_template_once(monkeypatch):
-    # one DAG per schema, and one multiplexed formula lowered per group of
-    # instances alike in atoms and in having conditionals; every plan a
+    # one DAG per schema, its generic instance lowered once; every plan a
     # pass there runs has the steps a search of the DAG finds, each once,
     # children first
     import conwon.semantics
@@ -316,11 +335,7 @@ def test_sweeps_walk_each_template_once(monkeypatch):
 
     monkeypatch.setattr(conwon.semantics, "CompiledFormula", Recorded)
     instances = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
-    groups = sum(len({(frozenset().union(*map(atoms, s.values())), schema.template.depth > 0
-                       or any(f.depth for f in s.values())) for s in substs})
-                 for system in ("conwon", "v1") for schema, substs in sweep_substitutions(system))
-    assert (len(made), len(added), instances) == (15, groups, 1655)
-    assert 15 < groups < 60
+    assert (len(made), len(added), instances) == (15, 15, 15)
     for compiled, root in added:
         for node in _plan_roots(compiled, root):
             steps = [step[0] for step in compiled.plan(node)]
@@ -328,20 +343,6 @@ def test_sweeps_walk_each_template_once(monkeypatch):
             order = {i: k for k, i in enumerate(steps)}
             assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
                        for i, op, a, _, b, _ in compiled.plan(node))
-
-
-def test_sweep_counts_nodes_and_blocks(monkeypatch):
-    # schema 2c lowers 2,532 nodes as 125 instances replayed one by one;
-    # multiplexed, a few hundred, and each block decides many instances
-    import conwon.proofs
-
-    only_2c = {name: dict(spec, axioms=tuple(s for s in spec["axioms"] if s.identifier == "conwon.2c"))
-               for name, spec in SYSTEMS.items()}
-    monkeypatch.setattr(conwon.proofs, "SYSTEMS", only_2c)
-    report = soundness_sweep("conwon", SearchBounds(2, 5))
-    assert report.instances == 125 and report.ok
-    assert 0 < report.nodes < 1000
-    assert 0 < report.blocks < report.instances
 
 
 def _random_schemas(rng, dialect, count):
@@ -359,12 +360,14 @@ def _random_schemas(rng, dialect, count):
 
 
 def _sweep_one_at_a_time(system, bounds):
-    """The failure lines of a soundness sweep that searches each instance on its own."""
-    lines = []
-    for schema, substs in sweep_substitutions(system):
-        for subst in substs:
+    """The failure lines of a soundness sweep that searches each instance of each schema's pool on its own."""
+    import conwon.proofs
+
+    spec, lines = conwon.proofs.SYSTEMS[system], []  # the systems as a test patches them
+    for schema in spec["axioms"]:
+        for subst in instance_pool(schema, spec["dialect"]):
             instance = instantiate(schema, subst)
-            if SYSTEMS[system]["dialect"] == "conwon":
+            if spec["dialect"] == "conwon":
                 witness = find_countermodel(instance, bounds)
                 lines += [f"{schema.identifier}: falsified by {witness.to_json()}"] if witness else []
             elif found := satisfying_witness_v(Not(instance), bounds.max_worlds):
@@ -381,34 +384,47 @@ BAD_SCHEMAS = {
 
 
 @pytest.mark.parametrize("bounds, block_bits", [((2, 3), None), ((3, 2), None), ((3, 2), 16)])
-def test_sliced_sweep_matches_one_search_per_instance(monkeypatch, bounds, block_bits):
-    # the instances searched side by side get the failure lines, witnesses
-    # included, that one search per instance gets, over the real systems,
-    # the unsound schemas added to them and seeded random schemas
+def test_generic_sweep_covers_the_pool_sweep(monkeypatch, bounds, block_bits):
+    # over the real systems with the unsound schemas added, and over seeded
+    # random schemas: every schema that a search per pool instance reports
+    # is reported, each witness re-checked against an instance of its
+    # schema first; bad.closed fails the occurrence condition, so its pool
+    # is searched an instance at a time and gets the same lines
+    import conwon.lewis
     import conwon.proofs
     from conwon import semantics
 
     rng = random.Random(20261019)
     random_schemas = {"conwon": tuple(_random_schemas(rng, "conwon", 6)), "v1": tuple(_random_schemas(rng, "v", 6))}
-    widths = []
-
-    class Recorded(semantics.ModelEvaluator):
-        def __init__(self, compiled, n_worlds, valuation, segments=1):
-            super().__init__(compiled, n_worlds, valuation, segments)
-            widths.append((self.full.bit_length(), n_worlds))
-
-    monkeypatch.setattr(semantics, "ModelEvaluator", Recorded)
-    if block_bits:  # 16 bits: instances and type sets are cut across blocks
+    if block_bits:  # 16 bits: type sets are cut across blocks
         monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+    rechecked = []
+    real_recheck, real_v_witness = semantics.recheck_countermodel, conwon.lewis.v_witness
+    monkeypatch.setattr(semantics, "recheck_countermodel", lambda f, w: rechecked.append(f) or real_recheck(f, w))
+    monkeypatch.setattr(conwon.lewis, "v_witness", lambda f, w: rechecked.append(f.child) or real_v_witness(f, w))
+    paths = set()
     for extra in (BAD_SCHEMAS, random_schemas):
         systems = {name: dict(spec, axioms=spec["axioms"] * (extra is BAD_SCHEMAS) + extra[name])
                    for name, spec in SYSTEMS.items()}
         monkeypatch.setattr(conwon.proofs, "SYSTEMS", systems)
-        for system in ("conwon", "v1"):
+        for system, spec in systems.items():
+            rechecked.clear()
             report = soundness_sweep(system, SearchBounds(*bounds))
-            assert report.failures == _sweep_one_at_a_time(system, SearchBounds(*bounds)), system
-            assert report.failures and not any("#" in line for line in report.failures)  # no selector atom
-    assert all(width <= max(semantics.BLOCK_BITS, n) for width, n in widths)
+            witnessed, reference = list(rechecked), _sweep_one_at_a_time(system, SearchBounds(*bounds))
+            schemas = {s.identifier: s for s in spec["axioms"]}
+            reported = [line.partition(": ")[0] for line in report.failures]
+            assert {line.partition(": ")[0] for line in reference} <= set(reported), system
+            assert len(witnessed) == len(reported) and reported
+            assert all(match_schema(schemas[name], f) is not None for name, f in zip(reported, witnessed))
+            generic = {name for name, s in schemas.items() if generic_substitution(s) is not None}
+            assert report.instances == len(generic) + sum(len(instance_pool(schemas[name], spec["dialect"]))
+                                                          for name in set(schemas) - generic)
+            for name in set(schemas) - generic:  # searched instance by instance, as the reference does
+                assert ([line for line in report.failures if line.startswith(f"{name}: ")]
+                        == [line for line in reference if line.startswith(f"{name}: ")])
+            paths.update((name in generic, name in reported) for name in schemas)
+    assert generic_substitution(BAD_SCHEMAS["conwon"][1]) is None  # bad.closed: chi under () and (alpha)
+    assert paths >= {(True, True), (True, False), (False, True)}  # (generic?, reported?) of the schemas
 
 
 def test_sweep_failure_lines_do_not_depend_on_the_string_hash():

@@ -4,7 +4,6 @@ import pytest
 
 from conwon.formula import (
     And,
-    CondBox,
     Iff,
     Not,
     Or,

@@ -404,46 +404,6 @@ BATCH_V = ["p | ~p", "p & ~p", "q", "p |> p", "p |> q", "~(p |> q) & E p",
            "(p |> q) & ~(p |> (q | r))", "p |> (q |> p)", "~(p |> ~(q |> r))"]
 
 
-def _batched(compiled, formulas, bounds, select):
-    # roots are added one at a time, as the soundness sweep adds its instances
-    return search_points(compiled, [(compiled.add(f),) for f in formulas], bounds, select)
-
-
-def test_batched_search_matches_single_searches():
-    # one multi-query search over a shared DAG gives each query the witness
-    # it gets alone: the same points in the same order, dropped at its pick
-    from conwon.lewis import satisfying_witness_v, v_witness
-
-    rng = random.Random(20261018)
-    for max_worlds, max_len in [(2, 3), (3, 2)]:
-        bounds = SearchBounds(max_worlds, max_len)
-        formulas = [parse_formula(t) for t in BATCH_CONWON] + [
-            random_formula(rng, ["p", "q", "r"][:rng.randint(1, 3)], rng.randint(0, 3), size=5)
-            for _ in range(30)]
-        found = _batched(CompiledFormula(), formulas, bounds, falsified)
-        singles = [find_countermodel(f, bounds) for f in formulas]
-        assert {w is None for w in singles} == {True, False}
-        for f, batched, single in zip(formulas, found, singles):
-            assert (batched is None) == (single is None), render(f)
-            assert batched is None or batched.to_json() == single.to_json(), render(f)
-            if single is not None and len(single.model.worlds) > 1:
-                # the first pick is on the fewest worlds
-                assert find_countermodel(f, SearchBounds(len(single.model.worlds) - 1, max_len)) is None
-
-        formulas = [parse_formula(t, dialect="v") for t in BATCH_V] + [
-            random_formula(rng, ["p", "q", "r"][:rng.randint(1, 3)], rng.randint(0, 3), size=5, dialect="v")
-            for _ in range(30)]
-        found = _batched(CompiledFormula(), formulas, SearchBounds(max_worlds, max_worlds),
-                         lambda masks, full: masks[0])
-        singles = [satisfying_witness_v(f, max_worlds) for f in formulas]
-        assert {w is None for w in singles} == {True, False}
-        for f, batched, single in zip(formulas, found, singles):
-            batched = v_witness(f, batched)
-            assert (batched is None) == (single is None), render(f)
-            if batched is not None:
-                assert (batched[0].to_json(), batched[1]) == (single[0].to_json(), single[1]), render(f)
-
-
 def _type_set_valuations(names, n):
     """The valuations of ``names`` on n worlds of distinct types, in search order."""
     for types in itertools.combinations(range(1 << len(names)), n):
@@ -474,7 +434,7 @@ def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
         names = tuple(sorted(compiled.atom_bit))
         for max_worlds, max_len in [(3, 3), (4, 2)]:
             seen = []
-            for n, valuation, ev, candidates, _ in _valuations(compiled, names, max_len, max_worlds):
+            for n, valuation, ev, candidates in _valuations(compiled, names, max_len, max_worlds):
                 assert ev.full.bit_length() <= max(block_bits, n)
                 ones = (1 << n) - 1
                 for segment in range(ev.full.bit_length() // n):
@@ -515,8 +475,8 @@ def test_packed_search_keeps_the_single_valuation_order(monkeypatch, block_bits)
         for max_worlds, max_len in [(3, 3), (4, 2)]:
             compiled = CompiledFormula()
             roots = [compiled.add(f) for f in formulas]
-            found = search_points(compiled, [(r,) for r in roots], SearchBounds(max_worlds, max_len), falsified)
-            for f, r, witness in zip(formulas, roots, found):
+            for f, r in zip(formulas, roots):
+                witness = search_points(compiled, (r,), SearchBounds(max_worlds, max_len), falsified)
                 first = _first_falsifying_point(compiled, r, max_worlds, max_len)
                 assert (witness and witness.to_json()) == (first and first.to_json()), (render(f), block_bits)
 
