@@ -44,26 +44,24 @@ by all roots, each entry filled once, is exact.  A node's sub-DAG runs
 children first into its chain's table, box consequents into their updated
 chains' tables; those are smaller nodes, so the recursion ends even where
 chains cycle.  The expected set of a is the last nonempty a & S_j.  In a
-flat formula every consequent is propositional: one pass per chain.
+flat formula every consequent is propositional: one pass per block.
 
-Valuations side by side.  The valuations of one |W| = n share their
-chains, so a block of them runs as one valuation (bit-slicing, Knuth,
-TAOCP 4A, 7.1.3): segment s of every mask holds worlds s*n ... s*n+n-1
-of the s-th, and a chain entry S enters as S * low, low the lowest bit
-of each segment.  ``~`` and ``&`` act world by world, so on each segment
-alone.  A conditional takes its expected set per segment: x = a & S_j
-replaces the running set in the segments where x is nonempty, and it
-holds in a segment iff that set misses no consequent world there.  A
-box's updated chain, :func:`update_chain` of the packed entries, drops a
-repeat or stops at an empty entry only when every segment agrees, so a
-segment may keep a repeat, a leading W or an empty tail; read in one
-segment it is still a decreasing sequence with that segment's updated
-chain as normal form, and none of those entries changes a last nonempty
-a & S_j.  By induction each segment's masks are its valuation's alone.
-The order stays |W|, valuation, chain: a block's pick is its lowest
-segment that any chain picks, at the first chain that picks it.  A block
-holds at most ``BLOCK_BITS // |W|`` type sets (at least one), so no mask
-exceeds max(BLOCK_BITS, |W|).
+Pairs side by side.  The (type set, chain) pairs of one |W| = n run as
+one (bit-slicing, Knuth, TAOCP 4A, 7.1.3): segment s of every mask holds
+worlds s*n ... s*n+n-1 of the s-th pair, and packed chain entry j holds
+there the j-th set of its chain, empty past its end.  ``~`` and ``&`` act
+on each segment alone; a conditional's x = a & S_j replaces the running
+set where x is nonempty, and it holds in a segment iff that set misses no
+consequent world there.  Padding: read in one segment, the packed chain
+and a box's updated chain (:func:`update_chain` of packed entries drops a
+repeat or stops at an empty entry only when every segment agrees) are
+decreasing: the segment's own chains up to a repeat, a leading W or an
+empty tail, none of which changes a last nonempty a & S_j.  By induction
+each segment's masks are its pair's alone.  Order: segments follow the
+search order, type set then chain, and blocks cut it into consecutive
+runs, so a block's lowest set bit is its first pick.  A block holds at
+most ``BLOCK_BITS // |W|`` pairs (at least one), all chains of whole type
+sets when they fit, so no mask exceeds max(BLOCK_BITS, |W|).
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ import functools
 import itertools
 from collections import defaultdict
 from math import comb
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import FrozenRecord, InputError, Record
 from .formula import (
@@ -203,10 +201,10 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 
 Chain = Tuple[int, ...]
 
-# Most bits a block of valuations packs into one mask (at least one
-# valuation).  It bounds each table entry, a mask, to about BLOCK_BITS / 8
-# bytes plus an int's header; a block keeps one table per chain it meets.
-BLOCK_BITS = 512
+# Most bits a block of pairs packs into a mask (2 kB).  A search holds one block, with a table
+# (a mask per node) per chain it meets, at most one per box of the formula's tree plus one, and
+# cached packed chains per (|W|, bound): |W| bits per chain entry, BLOCK_BITS if one block; 2.7 MB at (8, 7).
+BLOCK_BITS = 2 ** 14
 
 MAX_ENUMERATION = 50_000_000  # the default cap on the (valuation, chain) pairs of one search
 
@@ -335,11 +333,11 @@ class ModelEvaluator:
 
     ``valuation`` maps atoms to bitmasks over ``segments`` segments of n
     bits, segment s holding worlds s*n ... s*n+n-1 of the s-th valuation;
-    a chain comes with each entry S replicated as ``S * low`` (itself for
-    one segment).  ``truth_mask(node, chain)`` returns the set of worlds,
-    in every segment, satisfying the node under contexts with that chain,
-    from one table per chain shared by every root; a miss runs ``node``'s
-    plan at the chain.  ``[a]phi`` checks phi at the expected set of a
+    a chain comes packed, segment s of each entry holding the s-th chain's.
+    ``truth_mask(node, chain)`` returns the set of worlds, in every
+    segment, satisfying the node under contexts with that chain, from one
+    table per chain shared by every root; a miss runs ``node``'s plan at
+    the chain.  ``[a]phi`` checks phi at the expected set of a
     under the updated chain, ``phi |> psi`` checks psi at the expected
     set of phi under the same chain; both are world-independent: all of
     a segment or none of it.
@@ -347,7 +345,7 @@ class ModelEvaluator:
 
     def __init__(self, compiled: CompiledFormula, n_worlds: int, valuation: Dict[str, int],
                  segments: int = 1):
-        self.compiled = compiled
+        self.compiled, self.valuation = compiled, valuation
         self.full = full = (1 << n_worlds * segments) - 1
         ones, shift = (1 << n_worlds) - 1, n_worlds - 1
         self.low = full // ones
@@ -414,19 +412,39 @@ class ModelEvaluator:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def chains(n_worlds: int, max_len: int) -> Tuple[Chain, ...]:
-    """The empty chain, then every chain of length <= max_len, shortest first.
+def chains(n_worlds: int, max_len: int) -> Iterator[Chain]:
+    """The empty chain, then every chain of length <= max_len, shortest first, lazily.
 
-    A chain is a strictly decreasing sequence of nonempty proper subsets
-    of the n-world set.
+    A chain is a strictly decreasing sequence of nonempty proper subsets of the
+    n-world set.  Each length is one depth-first walk (lexicographic) keeping only its stack.
     """
-    found: List[Chain] = [()]
-    for chain in found:  # breadth first: the list grows as it is walked
-        if len(chain) < max_len:
-            top = chain[-1] if chain else (1 << n_worlds) - 1
-            found += [chain + (s,) for s in range(1, top) if s & top == s]
-    return tuple(found)
+    full = (1 << n_worlds) - 1
+    for length in range(min(max_len, n_worlds - 1) + 1):
+        stack: List[Chain] = [()]
+        while stack:
+            chain = stack.pop()
+            top = s = chain[-1] if chain else full
+            if len(chain) == length:
+                yield chain
+            while len(chain) < length and (s := (s - 1) & top):  # top's proper nonempty subsets, largest first
+                stack.append(chain + (s,))
+
+
+@functools.lru_cache(maxsize=32)
+def _packed_chains(n_worlds: int, max_len: int, block_bits: int) -> Tuple[int, Tuple[Tuple[int, Chain], ...]]:
+    """``chains(n_worlds, max_len)`` cut into runs of one block: (copies, ((length, entries) of each run)).
+
+    Entry j of a run holds in segment c the j-th set of its c-th chain, empty
+    past its end, repeated for ``copies`` type sets if one run holds all.
+    """
+    segments, width = max(1, block_bits // n_worlds), f"0{n_worlds}b"
+    digits = [format(s, width) for s in range(1 << n_worlds)]
+    walk, runs = chains(n_worlds, max_len), []
+    while run := tuple(itertools.islice(walk, segments)):  # one run's chains at a time
+        copies = segments // len(run) if not runs and len(run) < segments else 1
+        runs.append((len(run), tuple(int("".join(map(digits.__getitem__, reversed(level))) * copies, 2)
+                                     for level in itertools.zip_longest(*run, fillvalue=0))))
+    return copies, tuple(runs)
 
 
 def chain_count(n_worlds: int, max_len: int) -> int:
@@ -463,16 +481,14 @@ def search_points(
 ) -> Optional[ContextualizedPointedModel]:
     """The one enumeration loop: the first point ``select`` picks for ``roots``, or ``None``.
 
-    Goes over |W| (at most the 2^k types of the roots' k atoms), canonical
-    valuations, a block of them side by side, and chains of length <= the
-    context bound (only the empty chain without conditionals), and stops
-    after the block that holds the first pick.  ``select(masks, full)``
-    maps the roots' truth masks to the worlds to report (the lowest is);
-    the chain is the witness context, (W) if empty.  ``select`` must act
-    world by world, each bit of its result read off the same bit of the
-    masks and of ``full``: it runs on a block side by side.  Raises
-    EvaluationError when the (valuation, chain) pairs exceed
-    ``bounds.max_enumeration``.
+    Goes over |W| (at most the 2^k types of the roots' k atoms), then
+    (canonical valuation, chain of length <= the context bound) pairs, a
+    block side by side, up to the block with the first pick; only the empty
+    chain without conditionals.  ``select(masks, full)`` maps the roots'
+    truth masks to the worlds to report (the lowest is), and must read each
+    bit of its result off the same bit of the masks and of ``full``.  The
+    chain is the witness context, (W) if empty.  Raises EvaluationError
+    when the pairs exceed ``bounds.max_enumeration``.
     """
     names = tuple(sorted(a for a, bit in compiled.atom_bit.items()
                          if any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
@@ -483,40 +499,34 @@ def search_points(
         if total > bounds.max_enumeration:
             raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
                                   f"exceeds the cap of {bounds.max_enumeration}")
-    for n, valuation, ev, candidates in _valuations(compiled, names, max_len, bounds.max_worlds):
-        truth_mask, full, low = ev.truth_mask, ev.full, ev.low
-        limit, pick = full, None  # limit: the segments below the pick
-        for chain in candidates:
-            packed = chain if low == 1 else tuple(s * low for s in chain)  # one segment: no new key
-            picked = select([truth_mask(roots[0], packed)] if len(roots) == 1  # one root: no comprehension
-                            else [truth_mask(r, packed) for r in roots], full) & limit
-            if picked:  # its lowest bit: a later chain may still pick an earlier segment
-                bit = (picked & -picked).bit_length() - 1
-                pick, limit = (bit // n, bit % n, chain), (1 << bit - bit % n) - 1
-                if not limit:
-                    break
-        if pick:
-            segment, world, chain = pick
-            worlds = tuple(f"w{i + 1}" for i in range(n))
-            model = Model(worlds, {a: mask_to_worlds(valuation[a] >> segment * n, worlds) for a in names})
+    for n, ev, chain in _blocks(compiled, names, max_len, bounds.max_worlds):
+        picked = select([ev.truth_mask(r, chain) for r in roots], ev.full)
+        if picked:  # its lowest bit: the block's first pair in search order, at its lowest world
+            segment, world = divmod((picked & -picked).bit_length() - 1, n)
+            worlds, ones = tuple(f"w{i + 1}" for i in range(n)), (1 << n) - 1
+            model = Model(worlds, {a: mask_to_worlds(ev.valuation[a] >> segment * n, worlds) for a in names})
+            chain = itertools.takewhile(bool, (s >> segment * n & ones for s in chain))  # to the first empty entry
             context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
             return ContextualizedPointedModel(model, SequenceContext(context), worlds[world])
     return None
 
 
-def _valuations(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
-    """(|W|, valuation, evaluator, the chains to try) of each block, in search order.
-
-    A block packs up to ``BLOCK_BITS // |W|`` consecutive type sets, at
-    least one: segment s holds the s-th.
-    """
-    for n in range(1, min(max_worlds, 1 << len(names)) + 1):
-        combinations = itertools.combinations(range(1 << len(names)), n)
-        candidates = chains(n, min(max_len, n - 1))  # only once the search reaches n: larger |W| cost more
-        while run := tuple(itertools.islice(combinations, max(1, BLOCK_BITS // n))):
-            valuation = {a: sum(1 << s * n + w for s, types in enumerate(run) for w, t in enumerate(types)
-                                if t >> i & 1) for i, a in enumerate(names)}
-            yield n, valuation, ModelEvaluator(compiled, n, valuation, len(run)), candidates
+def _blocks(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
+    """(|W|, evaluator, packed chain) of each block in search order, segment s holding its s-th pair."""
+    n_types = 1 << len(names)
+    for n in range(1, min(max_worlds, n_types) + 1):
+        copies, runs = _packed_chains(n, min(max_len, n - 1), BLOCK_BITS)  # only once the search reaches n
+        type_sets = itertools.combinations(range(n_types), n)
+        while group := tuple(itertools.islice(type_sets, copies)):
+            at = [0] * n_types  # each type's worlds in each type set's first segment, then OR-ed per atom
+            for g, types in enumerate(group):
+                for w, t in enumerate(types, g * runs[0][0] * n):
+                    at[t] |= 1 << w
+            base = {a: sum(m for t, m in enumerate(at) if t >> i & 1) for i, a in enumerate(names)}
+            for length, entries in runs:
+                low = ((1 << length * n) - 1) // ((1 << n) - 1)  # repeats a type set over the run's chains
+                ev = ModelEvaluator(compiled, n, {a: m * low for a, m in base.items()}, len(group) * length)
+                yield n, ev, entries if len(group) == copies else tuple(s & ev.full for s in entries)
 
 
 def falsified(masks: List[int], full: int) -> int:

@@ -46,7 +46,7 @@ from conwon.semantics import (
     search_points,
     truth_masks_agree,
     truth_set,
-    _valuations,
+    _blocks,
 )
 from conftest import context_chain, iter_contexts, iter_models, nested_boxes, random_formula, random_prop
 
@@ -372,9 +372,18 @@ def test_chains_count_ordered_partitions():
     # the empty chain plus strictly decreasing chains: Fubini numbers
     # once the length bound saturates at |W| - 1
     for n, fubini in [(1, 1), (2, 3), (3, 13), (4, 75)]:
-        assert len(chains(n, n)) == chain_count(n, n) == fubini
-    assert len(chains(4, 2)) == chain_count(4, 2) == 51
-    assert chains(3, 0) == ((),)
+        assert len(list(chains(n, n))) == chain_count(n, n) == fubini
+    assert len(list(chains(4, 2))) == chain_count(4, 2) == 51
+    assert list(chains(3, 0)) == [()]
+    # the lazy walk yields them in breadth-first order, each chain's
+    # extensions by increasing last entry
+    for n, max_len in [(3, 2), (4, 3), (4, 1), (5, 4)]:
+        found = [()]
+        for chain in found:
+            if len(chain) < max_len:
+                top = chain[-1] if chain else (1 << n) - 1
+                found += [chain + (s,) for s in range(1, top) if s & top == s]
+        assert list(chains(n, max_len)) == found, (n, max_len)
     # a context and its core share a chain; W and a leading empty set vanish
     assert context_chain((0b011, 0b110, 0b011), 3) == (0b011, 0b010)
     assert context_chain((0b111, 0b001), 3) == (0b001,)
@@ -424,9 +433,10 @@ def _packed_batteries():
 
 @pytest.mark.parametrize("block_bits", [semantics.BLOCK_BITS, 10])
 def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
-    # each segment of a block, under every chain, has the masks its valuation
-    # has alone; the blocks cut the search order into consecutive runs that
-    # stay under the cap (10 bits: blocks of 5, 3 and 2 valuations)
+    # each segment of a block holds one (type set, chain) pair and has the
+    # masks its valuation has alone under its chain; the segments list every
+    # (|W|, type set, chain) in search order (10 bits: a type set's 13
+    # chains at |W| = 3 are cut into runs of 3, its 51 at |W| = 4 into runs of 2)
     monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     for formulas in _packed_batteries():
         compiled = CompiledFormula()
@@ -434,19 +444,32 @@ def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
         names = tuple(sorted(compiled.atom_bit))
         for max_worlds, max_len in [(3, 3), (4, 2)]:
             seen = []
-            for n, valuation, ev, candidates in _valuations(compiled, names, max_len, max_worlds):
+            for n, ev, packed in _blocks(compiled, names, max_len, max_worlds):
                 assert ev.full.bit_length() <= max(block_bits, n)
                 ones = (1 << n) - 1
+                masks = [ev.truth_mask(r, packed) for r in roots]
                 for segment in range(ev.full.bit_length() // n):
-                    alone = {a: m >> segment * n & ones for a, m in valuation.items()}
-                    seen.append((n, alone))
+                    alone = {a: m >> segment * n & ones for a, m in ev.valuation.items()}
+                    entries = [s >> segment * n & ones for s in packed]
+                    chain = tuple(entries[:entries.index(0)] if 0 in entries else entries)
+                    seen.append((n, alone, chain))
                     single = ModelEvaluator(compiled, n, alone)
-                    for chain in candidates:
-                        packed = tuple(s * ev.low for s in chain)
-                        for f, r in zip(formulas, roots):
-                            assert ev.truth_mask(r, packed) >> segment * n & ones == single.truth_mask(r, chain), (
-                                render(f), n, alone, chain)
-            assert seen == [(n, v) for n in range(1, max_worlds + 1) for v in _type_set_valuations(names, n)]
+                    for f, r, mask in zip(formulas, roots, masks):
+                        assert mask >> segment * n & ones == single.truth_mask(r, chain), (render(f), n, alone, chain)
+            assert seen == [(n, v, chain) for n in range(1, max_worlds + 1) for v in _type_set_valuations(names, n)
+                            for chain in chains(n, min(max_len, n - 1))]
+
+
+def test_one_kernel_pass_per_world_count(monkeypatch):
+    # at the default block size all (type set, chain) pairs of one |W| fit
+    # one block: axiom 3c over p, q, r at (4, 2) asks the kernel once per
+    # |W| where one pass per chain asked 1 + 3 + 13 + 51 = 68 times
+    calls = []
+    truth_mask = ModelEvaluator.truth_mask
+    monkeypatch.setattr(ModelEvaluator, "truth_mask",
+                        lambda self, node, chain: calls.append(node) or truth_mask(self, node, chain))
+    assert find_countermodel(parse_formula("([p]q & [p]r) -> [p & q]r"), SearchBounds(4, 2)) is None
+    assert 1 <= len(calls) <= 4
 
 
 def _first_falsifying_point(compiled, root, max_worlds, max_len):
