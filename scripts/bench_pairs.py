@@ -18,8 +18,16 @@ workload the seeds, the side run first, each run's ``attempted`` and
 ``failed``, and per end-to-end metric both sides' values with their
 medians, the change/parent ratio of the medians, the number of pairs in
 which the change is lower, and the parent's quartiles
-(``statistics.quantiles``, n=4, inclusive).  The file is rewritten after
-every pair, so an interrupted run keeps what it measured.
+(``statistics.quantiles``, n=4, inclusive).  Each metric also gets the
+no-regression verdict: its ``bound`` from ``BENCHMARK.json``; ``shift``,
+how much worse the change's median is than the parent's as a fraction of
+the parent's (negative when better, by the metric's ``better``); and
+``verdict``, "over bound" if the shift exceeds the bound, else
+"unresolved" if the parent's own spread, (Q3 - Q1) / median, exceeds it
+and not every run of the change reads better than every run of the
+parent, else "within bound".  ``claim`` is null unless ``--claim`` names
+one.  The file is rewritten after every pair, so an interrupted run keeps
+what it measured.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
-METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 
 
 def git(*args: str) -> str:
@@ -75,7 +83,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(runs: dict) -> dict:
     """Per-metric figures of one workload's runs, in the BENCH schema."""
     out = {}
-    for metric in METRICS:
+    for metric, spec in METRICS.items():
         values = {side: [round(r["metrics"][metric]["value"], 6) for r in runs[side]] for side in runs}
         parent, change = values["parent"], values["change"]
         lower = sum(c < p for p, c in zip(parent, change))
@@ -83,9 +91,16 @@ def summary(runs: dict) -> dict:
                  "change_median": round(statistics.median(change), 6)}
         entry["ratio"] = round(entry["change_median"] / entry["parent_median"], 4)
         entry["change_lower_in"] = f"{lower} of {len(parent)}"
+        sign = 1 if spec["better"] == "lower" else -1
+        entry["bound"], entry["shift"] = spec["bound"], round(sign * (entry["ratio"] - 1), 4)
+        spread = 0.0
         if len(parent) > 1:
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             entry["parent_q1_q3"] = [round(q1, 6), round(q3, 6)]
+            spread = (q3 - q1) / statistics.median(parent)
+        all_better = max(sign * c for c in change) < min(sign * p for p in parent)  # sign * x: higher is worse
+        entry["verdict"] = ("over bound" if entry["shift"] > spec["bound"]
+                            else "unresolved" if spread > spec["bound"] and not all_better else "within bound")
         out[metric] = entry
     return out
 
@@ -93,7 +108,7 @@ def summary(runs: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="the number in the output's name, BENCH_<pr>.json")
-    ap.add_argument("--claim", default="no speed claim: every workload is checked for no regression")
+    ap.add_argument("--claim", help="the gain claimed, if any (default: none, written as null)")
     ap.add_argument("--parent", default="HEAD", help="the commit to compare against (default HEAD)")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     ap.add_argument("--seeds", type=int, default=10, help="pairs per workload, at least 10")

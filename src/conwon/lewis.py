@@ -25,6 +25,7 @@ from .formula import (
     CondBox,
     CondCorner,
     Formula,
+    Not,
     dialect_of,
     is_flat,
     is_propositional,
@@ -35,7 +36,6 @@ from .formula import (
 from .models import Model, SchemaError, SequenceContext, WorldSet
 from .semantics import (
     MAX_ENUMERATION,
-    CompiledFormula,
     ContextualizedPointedModel,
     EvaluationError,
     SearchBounds,
@@ -135,19 +135,6 @@ class PseudoSphereModelV(FrozenRecord):
 
 
 ModelV = Union[RelationalModelV, UniversalRelationalModelV, SphereModelV, PseudoSphereModelV]
-
-
-def load_pseudo_sphere(source) -> PseudoSphereModelV:
-    from .models import _load_json, _string_list, load_model
-
-    data = _load_json(source)
-    if "spheres" not in data:
-        raise SchemaError("pseudo-sphere file needs 'spheres'")
-    model = load_model({"worlds": data.get("worlds"), "valuation": data.get("valuation")})
-    spheres = data["spheres"]
-    if not isinstance(spheres, list):
-        raise SchemaError("'spheres' must be a list of world lists")
-    return PseudoSphereModelV(model, tuple(frozenset(_string_list(b, "sphere block")) for b in spheres))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +285,11 @@ def satisfying_witness_v(f: Formula, max_worlds: int,
                          max_enumeration: int = MAX_ENUMERATION) -> Optional[Tuple[PseudoSphereModelV, str]]:
     """First pseudo-sphere point satisfying ``f``, if any.
 
-    The chain kernel over every chain, i.e. every ordered partition read as
-    spheres; the witness is re-checked with :func:`eval_v`.
+    ``search_points``'s first point falsifying ``~f`` over every chain, i.e.
+    every ordered partition read as spheres, so the chain bound is
+    ``max_worlds``; the witness is re-checked with :func:`eval_v`.
     """
-    compiled = CompiledFormula(f)
-    bounds = SearchBounds(max_worlds, max_worlds, max_enumeration)
-    return v_witness(f, search_points(compiled, (compiled.root,), bounds, lambda masks, full: masks[0]))
+    return v_witness(f, search_points(Not(f), SearchBounds(max_worlds, max_worlds, max_enumeration)))
 
 
 def v_witness(f: Formula, witness: Optional[ContextualizedPointedModel]):

@@ -300,19 +300,20 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
             schema = axioms[name]
             if "subst" in by:
                 subst = by["subst"]
-                try:
-                    if instantiate(schema, subst) != step.formula:
-                        fail(i, f"substitution does not yield the step formula for {name}")
-                        continue
-                except ProofError as exc:
-                    fail(i, str(exc))
-                    continue
+                # side conditions first: a box with a non-propositional antecedent cannot be built
                 bad = [
                     v for v, cond in schema.conditions.items()
                     if v in subst and not _meets(subst[v], cond)
                 ]
                 if bad:
                     fail(i, f"{name}: side condition violated for {', '.join(sorted(bad))}")
+                    continue
+                try:
+                    if instantiate(schema, subst) != step.formula:
+                        fail(i, f"substitution does not yield the step formula for {name}")
+                        continue
+                except ProofError as exc:
+                    fail(i, str(exc))
                     continue
             elif match_schema(schema, step.formula) is None:
                 fail(i, f"formula is not an instance of {name}")
@@ -496,24 +497,19 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
     condition, such as ``chi -> [alpha]chi``, has its pool's instances
     searched one at a time.
     """
-    from .semantics import CompiledFormula, SearchBounds, falsified, recheck_countermodel, search_points
-    from .lewis import v_witness
+    from .semantics import find_countermodel
+    from .lewis import satisfying_witness_v
 
     dialect = SYSTEMS[system]["dialect"]
-    bounds = SearchBounds(bounds.max_worlds, bounds.max_worlds, bounds.max_enumeration) if dialect == "v" else bounds
     report = SweepReport(system)
     for schema, substs in sweep_substitutions(system):
         for subst in substs:
             instance = instantiate(schema, subst)
-            compiled = CompiledFormula(instance)
-            witness = search_points(compiled, (compiled.root,), bounds, falsified)
             report.instances += 1
-            if witness is None:
-                continue
             if dialect == "conwon":
-                recheck_countermodel(instance, witness)
-                report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
-            else:
-                m, w = v_witness(Not(instance), witness)
+                if witness := find_countermodel(instance, bounds):
+                    report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
+            elif found := satisfying_witness_v(Not(instance), bounds.max_worlds, bounds.max_enumeration):
+                m, w = found
                 report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
     return report

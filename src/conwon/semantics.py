@@ -39,12 +39,13 @@ on its antecedent's mask, the chain, and its consequent's mask at the
 chain the consequent sees: the same one for ``|>`` and ``[a]`` with an
 unchanged chain, the updated one for any other box.  A propositional
 mask sees no chain.  By induction a node's mask depends on the valuation
-and the chain alone, whatever root led there: one table per chain, shared
-by all roots, each entry filled once, is exact.  A node's sub-DAG runs
-children first into its chain's table, box consequents into their updated
-chains' tables; those are smaller nodes, so the recursion ends even where
-chains cycle.  The expected set of a is the last nonempty a & S_j.  In a
-flat formula every consequent is propositional: one pass per block.
+and the chain alone, whatever path led there: one table per chain, shared
+by the nodes of the formula searched, each entry filled once, is exact.
+A node's sub-DAG runs children first into its chain's table, box
+consequents into their updated chains' tables; those are smaller nodes,
+so the recursion ends even where chains cycle.  The expected set of a is
+the last nonempty a & S_j.  In a flat formula every consequent is
+propositional: one pass per block.
 
 Pairs side by side.  The (type set, chain) pairs of one |W| = n run as
 one (bit-slicing, Knuth, TAOCP 4A, 7.1.3): segment s of every mask holds
@@ -70,7 +71,7 @@ import functools
 import itertools
 from collections import defaultdict
 from math import comb
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .errors import FrozenRecord, InputError, Record
 from .formula import (
@@ -336,7 +337,7 @@ class ModelEvaluator:
     a chain comes packed, segment s of each entry holding the s-th chain's.
     ``truth_mask(node, chain)`` returns the set of worlds, in every
     segment, satisfying the node under contexts with that chain, from one
-    table per chain shared by every root; a miss runs ``node``'s plan at
+    table per chain shared by every node; a miss runs ``node``'s plan at
     the chain.  ``[a]phi`` checks phi at the expected set of a
     under the updated chain, ``phi |> psi`` checks psi at the expected
     set of phi under the same chain; both are world-independent: all of
@@ -473,26 +474,22 @@ class SearchBounds(FrozenRecord):
         self._assign(max_worlds, max_context_len, max_enumeration)
 
 
-def search_points(
-    compiled: CompiledFormula,
-    roots: Tuple[int, ...],
-    bounds: SearchBounds,
-    select: Callable[[List[int], int], int],
-) -> Optional[ContextualizedPointedModel]:
-    """The one enumeration loop: the first point ``select`` picks for ``roots``, or ``None``.
+def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
+    """The one enumeration loop: the first enumerated point where ``f`` is false, or ``None``.
 
-    Goes over |W| (at most the 2^k types of the roots' k atoms), then
-    (canonical valuation, chain of length <= the context bound) pairs, a
-    block side by side, up to the block with the first pick; only the empty
-    chain without conditionals.  ``select(masks, full)`` maps the roots'
-    truth masks to the worlds to report (the lowest is), and must read each
-    bit of its result off the same bit of the masks and of ``full``.  The
-    chain is the witness context, (W) if empty.  Raises EvaluationError
-    when the pairs exceed ``bounds.max_enumeration``.
+    Goes over |W| (at most the 2^k types of f's k atoms), then (canonical
+    valuation, chain of length <= the context bound) pairs, a block side by
+    side, up to the block where ``f`` first fails; only the empty chain
+    without conditionals.  The witness is that block's first pair, at its
+    lowest world where ``f`` is false, with the chain as its context, (W) if
+    empty.  Satisfying g is falsifying ``~g``, and f agrees with g iff
+    ``f <-> g`` is never false.  The witness is not re-checked: callers go
+    through :func:`find_countermodel` or ``lewis.satisfying_witness_v``.
+    Raises EvaluationError when the pairs exceed ``bounds.max_enumeration``.
     """
-    names = tuple(sorted(a for a, bit in compiled.atom_bit.items()
-                         if any(compiled.atom_bits[r] & bit for r in roots))) or ("p",)
-    max_len = bounds.max_context_len if max(compiled.depths[r] for r in roots) else 0
+    compiled = CompiledFormula(f)
+    names = tuple(sorted(compiled.atom_bit)) or ("p",)
+    max_len = bounds.max_context_len if f.depth else 0
     total = 0
     for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
         total += comb(1 << len(names), n) * chain_count(n, max_len)
@@ -500,9 +497,9 @@ def search_points(
             raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
                                   f"exceeds the cap of {bounds.max_enumeration}")
     for n, ev, chain in _blocks(compiled, names, max_len, bounds.max_worlds):
-        picked = select([ev.truth_mask(r, chain) for r in roots], ev.full)
-        if picked:  # its lowest bit: the block's first pair in search order, at its lowest world
-            segment, world = divmod((picked & -picked).bit_length() - 1, n)
+        false_at = ev.full & ~ev.truth_mask(compiled.root, chain)
+        if false_at:  # its lowest bit: the block's first pair in search order, at its lowest world
+            segment, world = divmod((false_at & -false_at).bit_length() - 1, n)
             worlds, ones = tuple(f"w{i + 1}" for i in range(n)), (1 << n) - 1
             model = Model(worlds, {a: mask_to_worlds(ev.valuation[a] >> segment * n, worlds) for a in names})
             chain = itertools.takewhile(bool, (s >> segment * n & ones for s in chain))  # to the first empty entry
@@ -529,11 +526,6 @@ def _blocks(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max
                 yield n, ev, entries if len(group) == copies else tuple(s & ev.full for s in entries)
 
 
-def falsified(masks: List[int], full: int) -> int:
-    """``select`` for countermodels: the worlds where the query's formula is false."""
-    return full & ~masks[0]
-
-
 def recheck_countermodel(f: Formula, witness: Optional[ContextualizedPointedModel]):
     """``witness`` once :func:`evaluate` confirms it falsifies ``f``; else ``RuntimeError``."""
     if witness is not None and eval_cpm(witness, f):
@@ -547,11 +539,10 @@ def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[Contextualiz
     Exact for all models over the atoms of ``f`` with at most
     ``bounds.max_worlds`` worlds and all sequence contexts of length at
     most ``bounds.max_context_len``.  ``None`` means "valid up to
-    bound", not validity.  The witness is re-checked with
-    :func:`evaluate`.
+    bound", not validity.  The witness is :func:`search_points`'s, re-checked
+    with :func:`evaluate`.
     """
-    compiled = CompiledFormula(f)
-    return recheck_countermodel(f, search_points(compiled, (compiled.root,), bounds, falsified))
+    return recheck_countermodel(f, search_points(f, bounds))
 
 
 def is_valid_up_to(f: Formula, bounds: SearchBounds) -> bool:
@@ -565,26 +556,3 @@ def is_satisfiable_up_to(f: Formula, bounds: SearchBounds) -> bool:
 def satisfying_witness(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
     """A contextualized pointed model where ``f`` is true, if one exists."""
     return find_countermodel(Not(f), bounds)
-
-
-def truth_masks_agree(
-    f: Formula,
-    g: Formula,
-    max_worlds: int,
-    max_context_len: int,
-) -> Optional[ContextualizedPointedModel]:
-    """First enumerated point where ``f`` and ``g`` disagree, or ``None``.
-
-    Compares world-by-world truth of the two formulas over the same
-    points as :func:`find_countermodel`; the witness is re-checked with
-    :func:`evaluate`.
-    """
-    compiled = CompiledFormula()
-    query = (compiled.add(f), compiled.add(g))
-    bounds = SearchBounds(max_worlds, max_context_len)
-    witness = search_points(compiled, query, bounds, lambda masks, full: masks[0] ^ masks[1])
-    if witness is not None and eval_cpm(witness, f) == eval_cpm(witness, g):
-        raise RuntimeError(
-            f"kernel disagreement of {render(f)} and {render(g)} does not hold up: {witness.to_json()}"
-        )
-    return witness

@@ -6,7 +6,8 @@ context enumerators, and the bitmask forms of the expected set
 (:func:`e_mask`) and of a context's chain (:func:`context_chain`), serve
 only as brute-force references; :func:`reference_parse` and
 :func:`reference_render` are the recursive parser and printer that
-``conwon.formula`` replaced with loops, kept to compare against; and
+``conwon.formula`` replaced with loops, kept to compare against;
+:func:`disagreement` is the bounded equivalence check; and
 :func:`invoke` runs the CLI in this process.
 """
 
@@ -45,7 +46,7 @@ from conwon.formula import (
 )
 from conwon.lewis import PseudoSphereModelV
 from conwon.models import Model
-from conwon.semantics import Chain, update_chain
+from conwon.semantics import Chain, SearchBounds, find_countermodel, update_chain
 
 
 def random_prop(rng: random.Random, atom_names, depth: int) -> Formula:
@@ -96,6 +97,11 @@ def formula_battery(seed: int, count: int, atom_names, max_depth: int,
         f = random_formula(rng, atom_names, budget, size=4, dialect=dialect)
         out.append(f)
     return out
+
+
+def disagreement(f: Formula, g: Formula, max_worlds: int, max_len: int):
+    """The first enumerated point where ``f`` and ``g`` differ, or ``None``: ``f <-> g`` is false there."""
+    return find_countermodel(Iff(f, g), SearchBounds(max_worlds, max_len))
 
 
 def nested_boxes(depth: int) -> str:

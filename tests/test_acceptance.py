@@ -37,9 +37,8 @@ from conwon.semantics import (
     evaluate,
     find_countermodel,
     is_valid_up_to,
-    truth_masks_agree,
 )
-from conftest import e_mask, formula_battery, invoke, iter_contexts, random_formula
+from conftest import disagreement, e_mask, formula_battery, invoke, iter_contexts, random_formula
 
 
 @pytest.fixture
@@ -126,7 +125,7 @@ def test_criterion_5_reduction_battery(announce):
         if not is_flat(flat):
             discrepancies.append((render(f), "not flat"))
             continue
-        witness = truth_masks_agree(f, flat, 3, 3)
+        witness = disagreement(f, flat, 3, 3)
         if witness is not None:
             discrepancies.append((render(f), witness.to_json()))
     announce(5, f"sigma on {len(battery)} formulas: flat output, zero discrepancies at |W|<=3",

@@ -421,6 +421,18 @@ def test_check_proof_reject(tmp_path):
     assert payload["errors"]
 
 
+def test_check_proof_rejects_a_substitution_that_breaks_a_side_condition(tmp_path):
+    # the side condition is checked before the instance is built: [[q]q]p
+    # has a non-propositional box antecedent, which no formula may have
+    proof = {"system": "conwon",
+             "steps": [{"formula": "[p]p", "by": {"axiom": "conwon.3a", "subst": {"alpha": "[q]q"}}}]}
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(proof))
+    result = invoke(["check-proof", str(path), "--output", "json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["errors"] == ["step 1: conwon.3a: side condition violated for alpha"]
+
+
 def test_check_proof_malformed_exit_2(tmp_path):
     path = tmp_path / "proof.json"
     path.write_text("{not json")

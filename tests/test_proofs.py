@@ -400,8 +400,10 @@ def test_generic_sweep_covers_the_pool_sweep(monkeypatch, bounds, block_bits):
         monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     rechecked = []
     real_recheck, real_v_witness = semantics.recheck_countermodel, conwon.lewis.v_witness
-    monkeypatch.setattr(semantics, "recheck_countermodel", lambda f, w: rechecked.append(f) or real_recheck(f, w))
-    monkeypatch.setattr(conwon.lewis, "v_witness", lambda f, w: rechecked.append(f.child) or real_v_witness(f, w))
+    monkeypatch.setattr(semantics, "recheck_countermodel",
+                        lambda f, w: rechecked.extend([f] * (w is not None)) or real_recheck(f, w))
+    monkeypatch.setattr(conwon.lewis, "v_witness",
+                        lambda f, w: rechecked.extend([f.child] * (w is not None)) or real_v_witness(f, w))
     paths = set()
     for extra in (BAD_SCHEMAS, random_schemas):
         systems = {name: dict(spec, axioms=spec["axioms"] * (extra is BAD_SCHEMAS) + extra[name])
@@ -461,9 +463,9 @@ def test_soundness_sweep_reports_unsound_schemas(monkeypatch):
     rechecked = []
     real_recheck, real_v_witness = conwon.semantics.recheck_countermodel, conwon.lewis.v_witness
     monkeypatch.setattr(conwon.semantics, "recheck_countermodel",
-                        lambda f, w: rechecked.append(f) or real_recheck(f, w))
+                        lambda f, w: rechecked.extend([f] * (w is not None)) or real_recheck(f, w))
     monkeypatch.setattr(conwon.lewis, "v_witness",
-                        lambda f, w: rechecked.append(f.child) or real_v_witness(f, w))
+                        lambda f, w: rechecked.extend([f.child] * (w is not None)) or real_v_witness(f, w))
     for system in ("conwon", "v1"):
         rechecked.clear()
         report = soundness_sweep(system, SearchBounds(2, 5))

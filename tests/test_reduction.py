@@ -15,8 +15,8 @@ from conwon.formula import (
 )
 from conwon import reduction
 from conwon.reduction import RewriteError, rewrite_step, sigma
-from conwon.semantics import SearchBounds, is_valid_up_to, truth_masks_agree
-from conftest import formula_battery, random_formula
+from conwon.semantics import SearchBounds, is_valid_up_to
+from conftest import disagreement, formula_battery, random_formula
 
 
 def pf(text):
@@ -56,7 +56,7 @@ def test_rewrite_steps_preserve_truth():
     for text in ["[p](q & r)", "[p](q | [q]r)", "[p][q]r", "[p]<q>r"]:
         f = pf(text)
         g = rewrite_step(f)
-        assert truth_masks_agree(f, g, 2, 3) is None
+        assert disagreement(f, g, 2, 3) is None
 
 
 def test_rewrite_errors():
@@ -113,7 +113,7 @@ def test_sigma_battery_preserves_truth():
     for f in battery:
         g = sigma(f)
         assert is_flat(g)
-        witness = truth_masks_agree(f, g, 2, 3)
+        witness = disagreement(f, g, 2, 3)
         if witness is not None:
             failures.append((render(f), witness.to_json()))
     assert failures == []
@@ -137,7 +137,7 @@ def test_sigma_chains_and_shapes_preserve_truth():
         g = sigma(f)
         assert modal_depth(g) <= 1, text
         bounds = (2, 3) if modal_depth(f) == 5 else (3, 3)
-        assert truth_masks_agree(f, g, *bounds) is None, text
+        assert disagreement(f, g, *bounds) is None, text
 
 
 def test_sigma_depth4_battery_preserves_truth():
@@ -151,14 +151,14 @@ def test_sigma_depth4_battery_preserves_truth():
     for f in battery:
         g = sigma(f)
         assert modal_depth(g) <= 1
-        assert truth_masks_agree(f, g, 3, 3) is None, render(f)
+        assert disagreement(f, g, 3, 3) is None, render(f)
 
 
 def test_sigma_lifted_2c_body_preserves_truth():
     # the lifted body [a&b]g & ([a&b]false -> A(b->g)) leans on [a&b]g holding where a&b holds nowhere
     for text in ["[p][q]false", "[p]~[q]false", "[p]E q", "[p]A q", "[p](E q & [q]false)",
                  "[p][q][p]q", "[p][q]~[r]false", "[p][q][r]false"]:
-        assert truth_masks_agree(pf(text), sigma(pf(text)), 3, 3) is None, text
+        assert disagreement(pf(text), sigma(pf(text)), 3, 3) is None, text
     rng = random.Random(303)
     battery = []
     while len(battery) < 20:
@@ -166,7 +166,7 @@ def test_sigma_lifted_2c_body_preserves_truth():
         if modal_depth(f) == 3:
             battery.append(f)
     for f in battery:
-        assert truth_masks_agree(f, sigma(f), 3, 3) is None, render(f)
+        assert disagreement(f, sigma(f), 3, 3) is None, render(f)
 
 
 def test_sigma_lifted_body_equals_the_2c_body():
@@ -176,7 +176,7 @@ def test_sigma_lifted_body_equals_the_2c_body():
         for g in pool:
             lifted = reduction._Flattener().lift(pf("p"), pf(f"[{b}]({g})"))
             body = pf(f"(E (p & ({b})) & [p & ({b})]({g})) | (~E (p & ({b})) & A (({b}) -> ({g})))")
-            assert truth_masks_agree(lifted, body, 4, 3) is None, (b, g)
+            assert disagreement(lifted, body, 4, 3) is None, (b, g)
 
 
 def test_sigma_output_size_regression():

@@ -37,18 +37,16 @@ from conwon.semantics import (
     eval_cpm,
     evaluate,
     extension,
-    falsified,
     find_countermodel,
     is_satisfiable_up_to,
     is_valid_up_to,
     mask_to_worlds,
     satisfying_witness,
     search_points,
-    truth_masks_agree,
     truth_set,
     _blocks,
 )
-from conftest import context_chain, iter_contexts, iter_models, nested_boxes, random_formula, random_prop
+from conftest import context_chain, disagreement, iter_contexts, iter_models, nested_boxes, random_formula, random_prop
 
 
 def fs(*worlds):
@@ -309,7 +307,7 @@ def _oracle_masks(f, max_worlds, max_len):
 
 def test_chain_search_agrees_with_brute_force():
     # brute force: truth_set over every valuation and every duplicate-free
-    # context, against the chain kernel, its verdicts and truth_masks_agree
+    # context, against the chain kernel, its verdicts and disagreement
     for max_worlds, max_len in [(2, 3), (3, 2)]:
         bounds = SearchBounds(max_worlds, max_len)
         tables = {}
@@ -320,7 +318,7 @@ def test_chain_search_agrees_with_brute_force():
             witness = find_countermodel(f, bounds)
             assert (witness is not None) == falsified, (text, max_worlds, max_len)
         for a, b in CROSS_PAIRS:
-            witness = truth_masks_agree(parse_formula(a), parse_formula(b), max_worlds, max_len)
+            witness = disagreement(parse_formula(a), parse_formula(b), max_worlds, max_len)
             assert (witness is not None) == (tables[a] != tables[b]), (a, b, max_worlds, max_len)
 
 
@@ -398,13 +396,12 @@ def test_kernel_witnesses_are_rechecked(monkeypatch):
     monkeypatch.setattr(ModelEvaluator, "truth_mask", lambda self, node, chain: 0)
     with pytest.raises(RuntimeError):
         find_countermodel(parse_formula("p | ~p"), SearchBounds(2, 2))
+    with pytest.raises(RuntimeError):  # the search asks where ~(p & ~p) is false
+        satisfying_witness_v(parse_formula("p & ~p", dialect="v"), 2)
     monkeypatch.setattr(ModelEvaluator, "truth_mask",
                         lambda self, node, chain: self.full if self.compiled.nodes[node][0] == "not" else 0)
     with pytest.raises(RuntimeError):
-        truth_masks_agree(parse_formula("p"), parse_formula("~~p"), 2, 2)
-    monkeypatch.setattr(ModelEvaluator, "truth_mask", lambda self, node, chain: self.full)
-    with pytest.raises(RuntimeError):
-        satisfying_witness_v(parse_formula("p & ~p", dialect="v"), 2)
+        disagreement(parse_formula("p"), parse_formula("~~p"), 2, 2)
 
 
 BATCH_CONWON = ["p | ~p", "p & ~q", "p", "[p]p", "[p]q", "[p][q]r", "[p](q -> q)",
@@ -499,7 +496,7 @@ def test_packed_search_keeps_the_single_valuation_order(monkeypatch, block_bits)
             compiled = CompiledFormula()
             roots = [compiled.add(f) for f in formulas]
             for f, r in zip(formulas, roots):
-                witness = search_points(compiled, (r,), SearchBounds(max_worlds, max_len), falsified)
+                witness = search_points(f, SearchBounds(max_worlds, max_len))
                 first = _first_falsifying_point(compiled, r, max_worlds, max_len)
                 assert (witness and witness.to_json()) == (first and first.to_json()), (render(f), block_bits)
 
