@@ -148,7 +148,7 @@ def falsify_cmd(formula, max_worlds, max_context_len):
 
 
 def compare_v_cmd(formula, max_worlds, max_context_len, dialect):
-    """Compare bounded satisfiability against the comparative-possibility logic."""
+    """Compare bounded satisfiability against the comparative-possibility logic, both at the same bounds."""
     from .formula import parse_formula
     from .lewis import flat_equivalence_check
     from .semantics import SearchBounds

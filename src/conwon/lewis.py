@@ -35,7 +35,6 @@ from .formula import (
 )
 from .models import Model, SchemaError, SequenceContext, WorldSet
 from .semantics import (
-    MAX_ENUMERATION,
     ContextualizedPointedModel,
     EvaluationError,
     SearchBounds,
@@ -281,15 +280,15 @@ def ordered_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str],
                 yield (chosen,) + tail
 
 
-def satisfying_witness_v(f: Formula, max_worlds: int,
-                         max_enumeration: int = MAX_ENUMERATION) -> Optional[Tuple[PseudoSphereModelV, str]]:
-    """First pseudo-sphere point satisfying ``f``, if any.
+def satisfying_witness_v(f: Formula, bounds: SearchBounds) -> Optional[Tuple[PseudoSphereModelV, str]]:
+    """First pseudo-sphere point satisfying ``f`` within ``bounds``, if any.
 
-    ``search_points``'s first point falsifying ``~f`` over every chain, i.e.
-    every ordered partition read as spheres, so the chain bound is
-    ``max_worlds``; the witness is re-checked with :func:`eval_v`.
+    ``search_points``'s first point falsifying ``~f``, its chain read as
+    spheres: chains of length at most ``bounds.max_context_len``, so a
+    bound >= |W| - 1 covers every ordered partition.  The witness is
+    re-checked with :func:`eval_v`.
     """
-    return v_witness(f, search_points(Not(f), SearchBounds(max_worlds, max_worlds, max_enumeration)))
+    return v_witness(f, search_points(Not(f), bounds))
 
 
 def v_witness(f: Formula, witness: Optional[ContextualizedPointedModel]):
@@ -348,8 +347,9 @@ def _transport_conwon_to_v(witness: ContextualizedPointedModel) -> Tuple[PseudoS
 def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceReport:
     """Bounded satisfiability agreement between the two semantics.
 
-    For a bare conditional the found witness is also transported to the
-    other side and re-verified there.
+    Both sides search the same (valuation, chain) pairs, those within
+    ``bounds``.  For a bare conditional the found witness is also
+    transported to the other side and re-verified there.
     """
     if not is_flat(f):
         raise EvaluationError("equivalence harness expects a flat formula")
@@ -357,7 +357,7 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
     f_v = translate_flat(f_conwon, "v")
 
     conwon_wit = satisfying_witness(f_conwon, bounds)
-    v_wit = satisfying_witness_v(f_v, bounds.max_worlds, bounds.max_enumeration)
+    v_wit = satisfying_witness_v(f_v, bounds)
     report = EquivalenceReport(
         formula=render(f_conwon),
         conwon_satisfiable=conwon_wit is not None,

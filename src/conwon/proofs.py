@@ -16,10 +16,9 @@ formula must be flat.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import FrozenRecord, InputError, Record, read_json
 from .formula import (
@@ -402,11 +401,6 @@ def load_proof(source) -> Tuple[str, List[ProofStep]]:
 # ---------------------------------------------------------------------------
 
 
-_PROP_POOL = ("p", "q", "~p", "p & q", "p | q")
-_WIDE_POOL = _PROP_POOL + ("[p]q",)
-_CLOSED_POOL = ("[p]q", "~[p]q", "E p")
-
-
 class SweepReport(Record):
     __slots__ = ("system", "instances", "failures")  # instances: the searches run
 
@@ -418,23 +412,12 @@ class SweepReport(Record):
         return not self.failures
 
 
-def instance_pool(schema: Schema, dialect: str) -> List[Dict[str, Formula]]:
-    """The substitutions of ``schema`` over small formula pools, each metavariable's pool fitting its condition."""
-    pools = {
-        PROP: [parse_formula(t, dialect=dialect) for t in _PROP_POOL],
-        CLOSED: [parse_formula(t, dialect="conwon") for t in _CLOSED_POOL],
-        None: [parse_formula(t, dialect=dialect) for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
-    }
-    variables = tuple(sorted(atoms(schema.template)))
-    return [dict(zip(variables, combo))
-            for combo in itertools.product(*(pools[schema.conditions.get(v)] for v in variables))]
+def generic_substitution(schema: Schema) -> Dict[str, Formula]:
+    """x_v for each metavariable v, ``E c_v`` where v must be closed.
 
-
-def generic_substitution(schema: Schema) -> Optional[Dict[str, Formula]]:
-    """x_v for each metavariable v, ``E c_v`` where v must be closed; ``None`` if one fails the occurrence condition.
-
-    The condition: v is propositional, or all its occurrences sit under the
-    same sequence of box antecedents.
+    Raises ValueError if a metavariable fails the occurrence condition: v
+    is propositional, or all its occurrences sit under the same sequence of
+    box antecedents.
     """
     paths: Dict[str, set] = {}  # metavariable -> the antecedent sequences above its occurrences
     seen, stack = set(), [(schema.template, ())]
@@ -448,30 +431,21 @@ def generic_substitution(schema: Schema) -> Optional[Dict[str, Formula]]:
                 stack += (t.antecedent, path), (t.consequent, path + (t.antecedent,))
             else:
                 stack += ((child, path) for child in t.children())
-    if any(len(found) > 1 and schema.conditions.get(v) != PROP for v, found in paths.items()):
-        return None
+    for v, found in sorted(paths.items()):
+        if len(found) > 1 and schema.conditions.get(v) != PROP:
+            raise ValueError(f"{schema.identifier}: metavariable {v} is not propositional "
+                             "and occurs under different box antecedents")
     return {v: SomeWorld(Atom(f"c_{v}")) if schema.conditions.get(v) == CLOSED else Atom(f"x_{v}")
             for v in paths}
-
-
-def sweep_substitutions(system: str) -> Iterator[Tuple[Schema, List[Dict[str, Formula]]]]:
-    """Each axiom schema of ``system`` with the substitutions its soundness sweep tries.
-
-    The generic one where every metavariable meets the occurrence
-    condition, else every substitution of :func:`instance_pool`.
-    """
-    for schema in SYSTEMS[system]["axioms"]:
-        generic = generic_substitution(schema)
-        yield schema, [generic] if generic is not None else instance_pool(schema, SYSTEMS[system]["dialect"])
 
 
 def soundness_sweep(system: str, bounds) -> SweepReport:
     """Search for countermodels to each axiom schema of ``system``; failures falsify soundness.
 
-    One search per substitution of :func:`sweep_substitutions`: for every
-    real schema that is one search, on the generic instance.  Each witness
-    is re-checked by an independent evaluator, ``semantics.evaluate`` or
-    ``lewis.eval_v``, before it is reported.
+    One search per schema, on its generic instance
+    (:func:`generic_substitution`).  Each witness is re-checked by an
+    independent evaluator, ``semantics.evaluate`` or ``lewis.eval_v``,
+    before it is reported.
 
     Lemma (uniform substitution; Blackburn, de Rijke & Venema, *Modal
     Logic*, 2001, 1.6).  Let every metavariable of the template t be
@@ -489,27 +463,26 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
     and a box then agree at equal contexts.  ``|>`` does not update the
     chain, so every metavariable of a V schema meets the condition.  g(t)
     is itself an instance: x_v is propositional and ``E c_v`` closed.  So
-    "g(t) valid up to bounds B" means every instance is, not just a
-    pool's, and a countermodel to g(t) refutes the schema.  A closed v
+    "g(t) valid up to bounds B" means every instance is, and a
+    countermodel to g(t) refutes the schema.  A closed v
     needs a closed stand-in: with an atom y for chi, 2b's
     ``[a](x | y) <-> ([a]x | [a]y)`` is falsified where y splits a's
-    expected worlds, though no instance of 2b is.  A schema that fails the
-    condition, such as ``chi -> [alpha]chi``, has its pool's instances
-    searched one at a time.
+    expected worlds, though no instance of 2b is.  No schema of
+    :data:`SYSTEMS` fails the condition; one that does, such as
+    ``chi -> [alpha]chi``, raises ValueError.
     """
     from .semantics import find_countermodel
     from .lewis import satisfying_witness_v
 
     dialect = SYSTEMS[system]["dialect"]
     report = SweepReport(system)
-    for schema, substs in sweep_substitutions(system):
-        for subst in substs:
-            instance = instantiate(schema, subst)
-            report.instances += 1
-            if dialect == "conwon":
-                if witness := find_countermodel(instance, bounds):
-                    report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
-            elif found := satisfying_witness_v(Not(instance), bounds.max_worlds, bounds.max_enumeration):
-                m, w = found
-                report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
+    for schema in SYSTEMS[system]["axioms"]:
+        instance = instantiate(schema, generic_substitution(schema))
+        report.instances += 1
+        if dialect == "conwon":
+            if witness := find_countermodel(instance, bounds):
+                report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
+        elif found := satisfying_witness_v(Not(instance), bounds):
+            m, w = found
+            report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
     return report

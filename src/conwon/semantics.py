@@ -231,34 +231,25 @@ def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
 
 
 class CompiledFormula:
-    """Formulas lowered into one shared node array, children first.
+    """``f`` lowered into a node array, children first, one node per distinct subformula.
 
-    Nodes are hash-consed on (op, child nodes), shared across all formulas
-    added, and so are results.  Node ops: ("atom", name), ("false",),
-    ("not", i), ("and", i, j), ("box", i, j), ("corner", i, j).  Each node
-    records its modal depth (``depths``, 0 iff propositional) and atoms
-    (``atom_bits``).  ``CompiledFormula(f)`` adds ``f`` as ``root``.
+    Formulas are interned, so a subformula that occurs twice is one node.
+    Node ops: ("atom", name), ("false",), ("not", i), ("and", i, j),
+    ("box", i, j), ("corner", i, j).  Each node records its modal depth
+    (``depths``, 0 iff propositional); ``root`` is f's node and ``atoms``
+    its atom names, sorted.
     """
 
-    def __init__(self, f: Optional[Formula] = None):
+    def __init__(self, f: Formula):
         self.nodes: List[tuple] = []
         self.depths: List[int] = []
-        self.atom_bits: List[int] = []
-        self.atom_bit: Dict[str, int] = {}  # atom name -> its bit in atom_bits
         self.bases: List[int] = []  # of each node: itself, or ~b for ~ over non-propositional b
         self.prop_plan: List[tuple] = []  # (index, op, i, j) of each propositional node
-        self._index: Dict[tuple, int] = {}
-        self._lowered: Dict[Formula, int] = {}  # each formula added, and its subformulas -> node
         self._plans: Dict[int, List[tuple]] = {}
-        if f is not None:
-            self.root = self.add(f)
-
-    def add(self, f: Formula) -> int:
-        """Lower ``f`` and return its node: each new subformula once, children first, left to right."""
-        seen, index, nodes, depths, bits, bases = (self._lowered, self._index, self.nodes, self.depths,
-                                                   self.atom_bits, self.bases)
+        nodes, depths, bases = self.nodes, self.depths, self.bases
+        seen: Dict[Formula, Optional[int]] = {}  # each subformula lowered -> its node
         stack = [f]
-        while stack:
+        while stack:  # each subformula once, children first, left to right
             g = stack.pop()
             if g is not None:  # met first: it waits under a None, in seen as None, until its children are lowered
                 if g not in seen:
@@ -271,7 +262,7 @@ class CompiledFormula:
                         stack += g, None, g.consequent, g.antecedent
                     elif cls is Atom or cls is Falsum:
                         stack += g, None
-                    else:  # only f can be one, as constructors read their children's depth: seen is unchanged
+                    else:  # only f can be one, as constructors read their children's depth
                         raise TypeError(f"not a formula: {g!r}")
                     seen[g] = None
                 continue
@@ -289,18 +280,14 @@ class CompiledFormula:
                 key, depth = ("box", a, b), 1 + depths[b]
             else:  # an atom's operand is its name
                 a, b, depth, key = (g.name, 0, 0, ("atom", g.name)) if cls is Atom else (0, 0, 0, ("false",))
-            idx = index.get(key)
-            if idx is None:
-                idx = index[key] = len(nodes)
-                nodes.append(key)
-                depths.append(depth)
-                bits.append(self.atom_bit.setdefault(a, 1 << len(self.atom_bit)) if cls is Atom
-                            else 0 if cls is Falsum else bits[a] | bits[b])
-                bases.append(~bases[a] if depth and cls is Not else idx)
-                if not depth:
-                    self.prop_plan.append((idx, key[0], a, b if cls is And else 0))
-            seen[g] = idx
-        return seen[f]
+            idx = seen[g] = len(nodes)
+            nodes.append(key)
+            depths.append(depth)
+            bases.append(~bases[a] if depth and cls is Not else idx)
+            if not depth:
+                self.prop_plan.append((idx, key[0], a, b if cls is And else 0))
+        self.root = seen[f]
+        self.atoms = tuple(sorted(op[1] for op in nodes if op[0] == "atom"))
 
     def _step(self, i: int) -> tuple:
         op, a, b = self.nodes[i]
@@ -330,15 +317,15 @@ class CompiledFormula:
 
 
 class ModelEvaluator:
-    """Evaluates compiled formulas on valuations of one |W| = n, side by side.
+    """Evaluates a compiled formula's nodes on valuations of one |W| = n, side by side.
 
     ``valuation`` maps atoms to bitmasks over ``segments`` segments of n
     bits, segment s holding worlds s*n ... s*n+n-1 of the s-th valuation;
     a chain comes packed, segment s of each entry holding the s-th chain's.
     ``truth_mask(node, chain)`` returns the set of worlds, in every
     segment, satisfying the node under contexts with that chain, from one
-    table per chain shared by every node; a miss runs ``node``'s plan at
-    the chain.  ``[a]phi`` checks phi at the expected set of a
+    table per chain shared by every node of the formula; a miss runs
+    ``node``'s plan at the chain.  ``[a]phi`` checks phi at the expected set of a
     under the updated chain, ``phi |> psi`` checks psi at the expected
     set of phi under the same chain; both are world-independent: all of
     a segment or none of it.
@@ -488,7 +475,7 @@ def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPo
     Raises EvaluationError when the pairs exceed ``bounds.max_enumeration``.
     """
     compiled = CompiledFormula(f)
-    names = tuple(sorted(compiled.atom_bit)) or ("p",)
+    names = compiled.atoms or ("p",)
     max_len = bounds.max_context_len if f.depth else 0
     total = 0
     for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):

@@ -363,6 +363,19 @@ def test_compare_v_corner_dialect():
     assert result.exit_code == 0
 
 
+def test_compare_v_searches_the_same_bounds_on_both_sides():
+    # at |W| = 3 with chains of length 1 the formula is unsatisfiable under
+    # both semantics; it needs a chain of length 2, the bound both sides take next
+    formula = "[~q]p & ~[~p]q & [p]q"
+    for length, satisfiable in (("1", False), ("2", True)):
+        result = invoke(["compare-v", "--formula", formula, "--max-worlds", "3", "--max-context-len", length,
+                         "--output", "json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["conwon_satisfiable"], payload["v_satisfiable"], payload["agrees"]) == (
+            satisfiable, satisfiable, True), length
+
+
 def test_compare_v_rejects_nested():
     result = invoke(["compare-v", "--formula", "[p][q]r"])
     assert result.exit_code == 2

@@ -229,19 +229,22 @@ def test_eval_v_decides_each_corner_once(monkeypatch):
 # --- enumeration and the equivalence harness ------------------------------
 
 
+EVERY_CHAIN_3 = SearchBounds(3, 2)  # up to 3 worlds, chains of length <= |W| - 1: every pseudo-sphere order
+
+
 def test_v_validities_on_pseudo_spheres():
     for text in [
         "p |> p",
         "((p |> q) & (p |> r)) -> (p |> (q & r))",
         "(p & q) |> (p | r)",
     ]:
-        assert satisfying_witness_v(pv(f"~({text})"), 3) is None, text
+        assert satisfying_witness_v(pv(f"~({text})"), EVERY_CHAIN_3) is None, text
 
 
 def test_v_satisfiable_both_ways():
-    m, w = satisfying_witness_v(pv("~(p |> q) & E p"), 3)
+    m, w = satisfying_witness_v(pv("~(p |> q) & E p"), EVERY_CHAIN_3)
     assert eval_v(m, w, pv("~(p |> q)"))
-    assert satisfying_witness_v(pv("p & ~p"), 3) is None
+    assert satisfying_witness_v(pv("p & ~p"), EVERY_CHAIN_3) is None
 
 
 def test_v_kernel_agrees_with_pseudo_sphere_enumeration():
@@ -264,7 +267,7 @@ def test_v_kernel_agrees_with_pseudo_sphere_enumeration():
                 for m in iter_pseudo_sphere_models(names, 3)
                 for w in m.model.worlds
             )
-            assert (satisfying_witness_v(g, 3) is not None) == brute, render(g)
+            assert (satisfying_witness_v(g, EVERY_CHAIN_3) is not None) == brute, render(g)
 
 
 def test_pseudo_sphere_json():
@@ -289,14 +292,14 @@ def test_flat_equivalence_harness():
 
 
 def test_flat_equivalence_keeps_the_enumeration_cap():
-    # [p]q at (3, 1): 50 (valuation, chain) pairs on the conwon side, 74 on
-    # the V side, which searches every chain
+    # [p]q at (3, 1): 50 (valuation, chain) pairs on each side, as both
+    # search the same bounds
     f = parse_formula("[p]q")
-    assert flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=74)).agrees
-    with pytest.raises(EvaluationError, match="at least 74 .* exceeds the cap of 60"):
-        flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=60))
-    with pytest.raises(EvaluationError, match="exceeds the cap of 60"):
-        satisfying_witness_v(parse_formula("p |> q", dialect="v"), 3, max_enumeration=60)
+    assert flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=50)).agrees
+    with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
+        flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=49))
+    with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
+        satisfying_witness_v(parse_formula("p |> q", dialect="v"), SearchBounds(3, 1, max_enumeration=49))
 
 
 def test_flat_equivalence_rejects_nested():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -24,13 +25,11 @@ from conwon.proofs import (
     Schema,
     check_proof,
     generic_substitution,
-    instance_pool,
     instantiate,
     is_tautology,
     load_proof,
     match_schema,
     soundness_sweep,
-    sweep_substitutions,
     tautological_consequence,
 )
 from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, find_countermodel
@@ -273,9 +272,9 @@ def test_generic_instances_hold(bounds):
     # countermodel; 2b without its closed condition has one, so the E c
     # stand-in for chi is what keeps 2b's generic instance valid
     for system, spec in SYSTEMS.items():
-        for schema, substs in sweep_substitutions(system):
-            assert substs == [generic_substitution(schema)]
-            assert match_schema(schema, instantiate(schema, substs[0])) == substs[0]
+        for schema in spec["axioms"]:
+            subst = generic_substitution(schema)
+            assert match_schema(schema, instantiate(schema, subst)) == subst
         report = soundness_sweep(system, SearchBounds(*bounds))
         assert report.ok and report.instances == len(spec["axioms"])
     two_b = SCHEMAS["conwon.2b"]
@@ -285,7 +284,7 @@ def test_generic_instances_hold(bounds):
 
 
 def test_sweeps_keep_the_enumeration_cap():
-    # the V side searches every chain, under the caller's cap as the conwon side does
+    # the V side searches the caller's bounds, under its cap as the conwon side does
     for system in ("conwon", "v1"):
         with pytest.raises(EvaluationError, match="exceeds the cap of 10"):
             soundness_sweep(system, SearchBounds(2, 5, max_enumeration=10))
@@ -322,27 +321,38 @@ def test_sweeps_walk_each_template_once(monkeypatch):
     # children first
     import conwon.semantics
 
-    made, added = [], []
+    made = []
 
     class Recorded(CompiledFormula):
-        def __init__(self, f=None):
+        def __init__(self, f):
             super().__init__(f)
             made.append(self)
 
-        def add(self, f):
-            added.append((self, super().add(f)))
-            return added[-1][1]
-
     monkeypatch.setattr(conwon.semantics, "CompiledFormula", Recorded)
-    instances = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
-    assert (len(made), len(added), instances) == (15, 15, 15)
-    for compiled, root in added:
-        for node in _plan_roots(compiled, root):
+    searches = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
+    assert (len(made), searches) == (15, 15)
+    for compiled in made:
+        for node in _plan_roots(compiled, compiled.root):
             steps = [step[0] for step in compiled.plan(node)]
             assert set(steps) == _reference_plan(compiled, node) and len(set(steps)) == len(steps)
             order = {i: k for k, i in enumerate(steps)}
             assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
                        for i, op, a, _, b, _ in compiled.plan(node))
+
+
+@pytest.mark.parametrize("system", ["conwon", "v1"])
+def test_generic_instances_hold_at_the_saturating_bound(system):
+    # with m atoms, 2^m worlds and chains of length 2^m - 1 saturate (the
+    # semantics docstring), so no witness here means the instance is valid
+    spec = SYSTEMS[system]
+    for schema in spec["axioms"]:
+        instance = instantiate(schema, generic_substitution(schema))
+        m = len(atoms(instance))
+        bounds = SearchBounds(1 << m, (1 << m) - 1)
+        if spec["dialect"] == "conwon":
+            assert find_countermodel(instance, bounds) is None, schema.identifier
+        else:
+            assert satisfying_witness_v(Not(instance), bounds) is None, schema.identifier
 
 
 def _random_schemas(rng, dialect, count):
@@ -359,43 +369,69 @@ def _random_schemas(rng, dialect, count):
         yield Schema(f"random.{dialect}.{made}", template, {v: c for v, c in conditions.items() if c})
 
 
+_PROP_POOL = ("p", "q", "~p", "p & q", "p | q")
+_WIDE_POOL = _PROP_POOL + ("[p]q",)
+_CLOSED_POOL = ("[p]q", "~[p]q", "E p")
+
+
+def _instance_pool(schema, dialect):
+    """The substitutions of ``schema`` over small formula pools, each metavariable's pool fitting its condition."""
+    pools = {
+        PROP: [parse_formula(t, dialect=dialect) for t in _PROP_POOL],
+        CLOSED: [parse_formula(t) for t in _CLOSED_POOL],
+        None: [parse_formula(t, dialect=dialect) for t in (_WIDE_POOL if dialect == "conwon" else _PROP_POOL)],
+    }
+    variables = tuple(sorted(atoms(schema.template)))
+    return [dict(zip(variables, combo))
+            for combo in itertools.product(*(pools[schema.conditions.get(v)] for v in variables))]
+
+
 def _sweep_one_at_a_time(system, bounds):
     """The failure lines of a soundness sweep that searches each instance of each schema's pool on its own."""
     import conwon.proofs
 
     spec, lines = conwon.proofs.SYSTEMS[system], []  # the systems as a test patches them
     for schema in spec["axioms"]:
-        for subst in instance_pool(schema, spec["dialect"]):
+        for subst in _instance_pool(schema, spec["dialect"]):
             instance = instantiate(schema, subst)
             if spec["dialect"] == "conwon":
                 witness = find_countermodel(instance, bounds)
                 lines += [f"{schema.identifier}: falsified by {witness.to_json()}"] if witness else []
-            elif found := satisfying_witness_v(Not(instance), bounds.max_worlds):
+            elif found := satisfying_witness_v(Not(instance), bounds):
                 lines.append(f"{schema.identifier}: false at {found[1]} of {found[0].to_json()}")
     return lines
 
 
+def _has_generic_instance(schema):
+    try:
+        generic_substitution(schema)
+    except ValueError:
+        return False
+    return True
+
+
 BAD_SCHEMAS = {
-    "conwon": (Schema("bad.box", parse_formula("[alpha]gamma -> gamma"), {"alpha": PROP, "gamma": PROP}),
-               Schema("bad.closed", parse_formula("chi -> [alpha]chi"), {"alpha": PROP, "chi": CLOSED})),
+    "conwon": (Schema("bad.box", parse_formula("[alpha]gamma -> gamma"), {"alpha": PROP, "gamma": PROP}),),
     "v1": (Schema("bad.rhd", parse_formula("(phi |> chi) -> chi", dialect="v"), {}),
            Schema("bad.swap", parse_formula("(phi |> chi) -> (chi |> phi)", dialect="v"), {})),
 }
+BAD_CLOSED = Schema("bad.closed", parse_formula("chi -> [alpha]chi"), {"alpha": PROP, "chi": CLOSED})
 
 
 @pytest.mark.parametrize("bounds, block_bits", [((2, 3), None), ((3, 2), None), ((3, 2), 16)])
 def test_generic_sweep_covers_the_pool_sweep(monkeypatch, bounds, block_bits):
     # over the real systems with the unsound schemas added, and over seeded
-    # random schemas: every schema that a search per pool instance reports
-    # is reported, each witness re-checked against an instance of its
-    # schema first; bad.closed fails the occurrence condition, so its pool
-    # is searched an instance at a time and gets the same lines
+    # random schemas that have a generic instance: every schema that a
+    # search per pool instance reports is reported, each witness re-checked
+    # against an instance of its schema first
     import conwon.lewis
     import conwon.proofs
     from conwon import semantics
 
     rng = random.Random(20261019)
     random_schemas = {"conwon": tuple(_random_schemas(rng, "conwon", 6)), "v1": tuple(_random_schemas(rng, "v", 6))}
+    random_schemas = {name: tuple(filter(_has_generic_instance, schemas)) for name, schemas in random_schemas.items()}
+    assert all(len(schemas) >= 4 for schemas in random_schemas.values())
     if block_bits:  # 16 bits: type sets are cut across blocks
         monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     rechecked = []
@@ -404,7 +440,7 @@ def test_generic_sweep_covers_the_pool_sweep(monkeypatch, bounds, block_bits):
                         lambda f, w: rechecked.extend([f] * (w is not None)) or real_recheck(f, w))
     monkeypatch.setattr(conwon.lewis, "v_witness",
                         lambda f, w: rechecked.extend([f.child] * (w is not None)) or real_v_witness(f, w))
-    paths = set()
+    outcomes = set()
     for extra in (BAD_SCHEMAS, random_schemas):
         systems = {name: dict(spec, axioms=spec["axioms"] * (extra is BAD_SCHEMAS) + extra[name])
                    for name, spec in SYSTEMS.items()}
@@ -418,15 +454,21 @@ def test_generic_sweep_covers_the_pool_sweep(monkeypatch, bounds, block_bits):
             assert {line.partition(": ")[0] for line in reference} <= set(reported), system
             assert len(witnessed) == len(reported) and reported
             assert all(match_schema(schemas[name], f) is not None for name, f in zip(reported, witnessed))
-            generic = {name for name, s in schemas.items() if generic_substitution(s) is not None}
-            assert report.instances == len(generic) + sum(len(instance_pool(schemas[name], spec["dialect"]))
-                                                          for name in set(schemas) - generic)
-            for name in set(schemas) - generic:  # searched instance by instance, as the reference does
-                assert ([line for line in report.failures if line.startswith(f"{name}: ")]
-                        == [line for line in reference if line.startswith(f"{name}: ")])
-            paths.update((name in generic, name in reported) for name in schemas)
-    assert generic_substitution(BAD_SCHEMAS["conwon"][1]) is None  # bad.closed: chi under () and (alpha)
-    assert paths >= {(True, True), (True, False), (False, True)}  # (generic?, reported?) of the schemas
+            assert report.instances == len(schemas)
+            outcomes.update(name in reported for name in schemas)
+    assert outcomes == {True, False}  # some schemas are reported, some are not
+
+
+def test_schema_without_a_generic_instance_is_refused(monkeypatch):
+    # chi must be closed and sits under () and under (alpha): no one atom stands for its instances
+    import conwon.proofs
+
+    with pytest.raises(ValueError, match=r"bad\.closed: metavariable chi "):
+        generic_substitution(BAD_CLOSED)
+    systems = dict(SYSTEMS, conwon=dict(SYSTEMS["conwon"], axioms=SYSTEMS["conwon"]["axioms"] + (BAD_CLOSED,)))
+    monkeypatch.setattr(conwon.proofs, "SYSTEMS", systems)
+    with pytest.raises(ValueError, match="bad.closed"):
+        soundness_sweep("conwon", SearchBounds(2, 2))
 
 
 def test_sweep_failure_lines_do_not_depend_on_the_string_hash():

@@ -11,7 +11,7 @@ from conwon.fixtures import (
     TIGER_CONTEXT,
     TIGER_MODEL,
 )
-from conwon.formula import And, Atom, CondBox, Not, atoms, parse_formula, render
+from conwon.formula import And, Atom, CondBox, Not, atoms, parse_formula, render, subformulas
 from conwon.models import (
     Model,
     OrderedDefaultSet,
@@ -397,7 +397,7 @@ def test_kernel_witnesses_are_rechecked(monkeypatch):
     with pytest.raises(RuntimeError):
         find_countermodel(parse_formula("p | ~p"), SearchBounds(2, 2))
     with pytest.raises(RuntimeError):  # the search asks where ~(p & ~p) is false
-        satisfying_witness_v(parse_formula("p & ~p", dialect="v"), 2)
+        satisfying_witness_v(parse_formula("p & ~p", dialect="v"), SearchBounds(2, 2))
     monkeypatch.setattr(ModelEvaluator, "truth_mask",
                         lambda self, node, chain: self.full if self.compiled.nodes[node][0] == "not" else 0)
     with pytest.raises(RuntimeError):
@@ -436,25 +436,24 @@ def test_packed_segments_match_single_valuations(monkeypatch, block_bits):
     # chains at |W| = 3 are cut into runs of 3, its 51 at |W| = 4 into runs of 2)
     monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     for formulas in _packed_batteries():
-        compiled = CompiledFormula()
-        roots = [compiled.add(f) for f in formulas]
-        names = tuple(sorted(compiled.atom_bit))
-        for max_worlds, max_len in [(3, 3), (4, 2)]:
-            seen = []
-            for n, ev, packed in _blocks(compiled, names, max_len, max_worlds):
-                assert ev.full.bit_length() <= max(block_bits, n)
-                ones = (1 << n) - 1
-                masks = [ev.truth_mask(r, packed) for r in roots]
-                for segment in range(ev.full.bit_length() // n):
-                    alone = {a: m >> segment * n & ones for a, m in ev.valuation.items()}
-                    entries = [s >> segment * n & ones for s in packed]
-                    chain = tuple(entries[:entries.index(0)] if 0 in entries else entries)
-                    seen.append((n, alone, chain))
-                    single = ModelEvaluator(compiled, n, alone)
-                    for f, r, mask in zip(formulas, roots, masks):
-                        assert mask >> segment * n & ones == single.truth_mask(r, chain), (render(f), n, alone, chain)
-            assert seen == [(n, v, chain) for n in range(1, max_worlds + 1) for v in _type_set_valuations(names, n)
-                            for chain in chains(n, min(max_len, n - 1))]
+        for f in formulas:
+            compiled = CompiledFormula(f)
+            names = compiled.atoms or ("p",)
+            for max_worlds, max_len in [(3, 3), (4, 2)]:
+                seen = []
+                for n, ev, packed in _blocks(compiled, names, max_len, max_worlds):
+                    assert ev.full.bit_length() <= max(block_bits, n)
+                    ones, mask = (1 << n) - 1, ev.truth_mask(compiled.root, packed)
+                    for segment in range(ev.full.bit_length() // n):
+                        alone = {a: m >> segment * n & ones for a, m in ev.valuation.items()}
+                        entries = [s >> segment * n & ones for s in packed]
+                        chain = tuple(entries[:entries.index(0)] if 0 in entries else entries)
+                        seen.append((n, alone, chain))
+                        single = ModelEvaluator(compiled, n, alone)
+                        assert mask >> segment * n & ones == single.truth_mask(compiled.root, chain), (
+                            render(f), n, alone, chain)
+                assert seen == [(n, v, chain) for n in range(1, min(max_worlds, 1 << len(names)) + 1)
+                                for v in _type_set_valuations(names, n) for chain in chains(n, min(max_len, n - 1))]
 
 
 def test_one_kernel_pass_per_world_count(monkeypatch):
@@ -469,15 +468,16 @@ def test_one_kernel_pass_per_world_count(monkeypatch):
     assert 1 <= len(calls) <= 4
 
 
-def _first_falsifying_point(compiled, root, max_worlds, max_len):
-    """The first point falsifying ``root``, one valuation at a time: |W|, then valuation, then chain."""
-    names = tuple(sorted(a for a, bit in compiled.atom_bit.items() if compiled.atom_bits[root] & bit)) or ("p",)
+def _first_falsifying_point(f, max_worlds, max_len):
+    """The first point falsifying ``f``, one valuation at a time: |W|, then valuation, then chain."""
+    compiled = CompiledFormula(f)
+    names = compiled.atoms or ("p",)
     for n in range(1, min(max_worlds, 1 << len(names)) + 1):
         worlds = tuple(f"w{i + 1}" for i in range(n))
         for valuation in _type_set_valuations(names, n):
             single = ModelEvaluator(compiled, n, valuation)
-            for chain in chains(n, min(max_len if compiled.depths[root] else 0, n - 1)):
-                false_at = single.full & ~single.truth_mask(root, chain)
+            for chain in chains(n, min(max_len if f.depth else 0, n - 1)):
+                false_at = single.full & ~single.truth_mask(compiled.root, chain)
                 if false_at:
                     model = Model(worlds, {a: mask_to_worlds(m, worlds) for a, m in valuation.items()})
                     context = tuple(mask_to_worlds(s, worlds) for s in chain) or (model.world_set,)
@@ -493,12 +493,29 @@ def test_packed_search_keeps_the_single_valuation_order(monkeypatch, block_bits)
     monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
     for formulas in _packed_batteries():
         for max_worlds, max_len in [(3, 3), (4, 2)]:
-            compiled = CompiledFormula()
-            roots = [compiled.add(f) for f in formulas]
-            for f, r in zip(formulas, roots):
+            for f in formulas:
                 witness = search_points(f, SearchBounds(max_worlds, max_len))
-                first = _first_falsifying_point(compiled, r, max_worlds, max_len)
+                first = _first_falsifying_point(f, max_worlds, max_len)
                 assert (witness and witness.to_json()) == (first and first.to_json()), (render(f), block_bits)
+
+
+def test_one_node_per_distinct_subformula():
+    # formulas are interned, so lowering by formula alone never makes two
+    # nodes with one (op, children); shared subterms, repeated conjuncts and
+    # a formula under both a box and its negation each lower to one node
+    rng = random.Random(20261020)
+    shared = ["[p]q & [p]q", "([p]q -> [p & q]q) & ~[p]q", "[p][p]p & [p]p", "[p | ~p]p -> p", "p & p & ~~p",
+              "([p]q <-> [q]p) & [p]q"]
+    batteries = [[parse_formula(t) for t in shared] + [random_formula(rng, ["p", "q", "r"], 3, size=6)
+                                                        for _ in range(300)],
+                 [parse_formula(t, dialect="v") for t in ("(p |> q) & ~(p |> q)", "(p |> p) |> (p |> p)")]
+                 + [random_formula(rng, ["p", "q", "r"], 3, size=6, dialect="v") for _ in range(300)]]
+    for formulas in batteries:
+        for f in formulas:
+            compiled = CompiledFormula(f)
+            assert len(compiled.nodes) == sum(1 for _ in subformulas(f)), render(f)
+            assert len(set(compiled.nodes)) == len(compiled.nodes)
+            assert compiled.atoms == tuple(sorted(atoms(f)))
 
 
 def test_satisfiability_helpers():
