@@ -17,8 +17,7 @@ witnesses across the transformations for single conditionals.
 
 from __future__ import annotations
 
-import itertools
-from typing import FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import FrozenRecord, Record
 from .formula import (
@@ -39,7 +38,7 @@ from .semantics import (
     EvaluationError,
     SearchBounds,
     evaluate,
-    satisfying_witness,
+    recheck_countermodel,
     search_points,
 )
 
@@ -262,22 +261,8 @@ def context_to_partition(entries: Sequence[WorldSet], world_set: Optional[WorldS
 
 
 # ---------------------------------------------------------------------------
-# Ordered partitions and pseudo-sphere witnesses
+# Pseudo-sphere witnesses
 # ---------------------------------------------------------------------------
-
-
-def ordered_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str], ...]]:
-    """All sequences of disjoint nonempty blocks covering ``items``."""
-    if not items:
-        yield ()
-        return
-    pool = list(items)
-    for r in range(1, len(pool) + 1):
-        for block in itertools.combinations(pool, r):
-            chosen = frozenset(block)
-            remainder = tuple(x for x in pool if x not in chosen)
-            for tail in ordered_partitions(remainder):
-                yield (chosen,) + tail
 
 
 def satisfying_witness_v(f: Formula, bounds: SearchBounds) -> Optional[Tuple[PseudoSphereModelV, str]]:
@@ -345,19 +330,25 @@ def _transport_conwon_to_v(witness: ContextualizedPointedModel) -> Tuple[PseudoS
 
 
 def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceReport:
-    """Bounded satisfiability agreement between the two semantics.
+    """Bounded satisfiability agreement between the two semantics, from one search.
 
-    Both sides search the same (valuation, chain) pairs, those within
-    ``bounds``.  For a bare conditional the found witness is also
-    transported to the other side and re-verified there.
+    For flat f, ``~f`` in the conwon dialect and ``~translate_flat(f, "v")``
+    lower to the same kernel nodes (a box over a propositional consequent
+    lowers as a corner), so one ``search_points`` call within ``bounds`` is
+    both sides' search.  Its point is re-checked twice: as a context with
+    :func:`evaluate`, and read as pseudo-spheres with :func:`eval_v`; a
+    kernel fault raises ``RuntimeError`` from either.  For a bare
+    conditional the V witness is also transported back to a context and
+    re-verified there.
     """
     if not is_flat(f):
         raise EvaluationError("equivalence harness expects a flat formula")
     f_conwon = translate_flat(f, "conwon") if dialect_of(f) == "v" else f
     f_v = translate_flat(f_conwon, "v")
 
-    conwon_wit = satisfying_witness(f_conwon, bounds)
-    v_wit = satisfying_witness_v(f_v, bounds)
+    point = search_points(Not(f_conwon), bounds)
+    conwon_wit = recheck_countermodel(Not(f_conwon), point)
+    v_wit = v_witness(f_v, point)
     report = EquivalenceReport(
         formula=render(f_conwon),
         conwon_satisfiable=conwon_wit is not None,
@@ -366,19 +357,12 @@ def flat_equivalence_check(f: Formula, bounds: SearchBounds) -> EquivalenceRepor
         v_witness=v_wit,
     )
 
-    bare = isinstance(f_conwon, CondBox) and is_propositional(f_conwon.consequent)
-    if bare and v_wit is not None:
-        m, _w = v_wit
-        cpm = _transport_v_to_conwon(m, f_conwon)
+    if isinstance(f_conwon, CondBox) and is_propositional(f_conwon.consequent) and v_wit is not None:
+        cpm = _transport_v_to_conwon(v_wit[0], f_conwon)
         ok = evaluate(cpm.model, cpm.context, cpm.world, f_conwon)
-        report.transport_checks.append(
-            f"V witness transported to a context: {'verified' if ok else 'FAILED'}"
-        )
-    if bare and conwon_wit is not None:
-        mv, wv = _transport_conwon_to_v(conwon_wit)
-        ok = eval_v(mv, wv, f_v)
-        report.transport_checks.append(
-            f"context witness transported to pseudo-spheres: {'verified' if ok else 'FAILED'}"
-        )
+        report.transport_checks += [
+            f"V witness transported to a context: {'verified' if ok else 'FAILED'}",
+            # v_witness has transported conwon_wit, the same point, and raised unless eval_v holds there
+            "context witness transported to pseudo-spheres: verified",
+        ]
     return report
-

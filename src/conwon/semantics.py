@@ -36,16 +36,17 @@ falsifying point whenever one exists, and 2^k worlds saturate.
 
 Straight-line evaluation.  At a chain, a conditional's truth depends only
 on its antecedent's mask, the chain, and its consequent's mask at the
-chain the consequent sees: the same one for ``|>`` and ``[a]`` with an
-unchanged chain, the updated one for any other box.  A propositional
-mask sees no chain.  By induction a node's mask depends on the valuation
-and the chain alone, whatever path led there: one table per chain, shared
-by the nodes of the formula searched, each entry filled once, is exact.
-A node's sub-DAG runs children first into its chain's table, box
-consequents into their updated chains' tables; those are smaller nodes,
-so the recursion ends even where chains cycle.  The expected set of a is
-the last nonempty a & S_j.  In a flat formula every consequent is
-propositional: one pass per block.
+chain the consequent sees: the same one for ``|>``, the updated one for
+``[a]``.  A propositional mask sees no chain, so a box over one is tested
+as ``|>`` is: it lowers as a corner.  By induction a node's mask depends
+on the valuation and the chain alone, whatever path led there: one table
+per chain, shared by the nodes of the formula searched, each entry filled
+once, is exact.  A node's sub-DAG runs children first into its chain's
+table, one plain step per node (``~x`` is full ^ x), box consequents into
+their updated chains' tables; those are smaller nodes, so the recursion
+ends even where chains cycle.  The expected set of a is the last nonempty
+a & S_j.  In a flat formula every consequent is propositional: one pass
+per block, and ``f`` and its ``|>`` translation lower to the same nodes.
 
 Pairs side by side.  The (type set, chain) pairs of one |W| = n run as
 one (bit-slicing, Knuth, TAOCP 4A, 7.1.3): segment s of every mask holds
@@ -234,19 +235,19 @@ class CompiledFormula:
     """``f`` lowered into a node array, children first, one node per distinct subformula.
 
     Formulas are interned, so a subformula that occurs twice is one node.
-    Node ops: ("atom", name), ("false",), ("not", i), ("and", i, j),
-    ("box", i, j), ("corner", i, j).  Each node records its modal depth
-    (``depths``, 0 iff propositional); ``root`` is f's node and ``atoms``
-    its atom names, sorted.
+    Node ops: ("atom", name), ("false",), ("not", i, i), ("and", i, j),
+    ("box", i, j), ("corner", i, j), a box over a propositional consequent
+    lowering as "corner" (see Straight-line evaluation).  Each node records
+    its modal depth (``depths``, 0 iff propositional); ``root`` is f's node
+    and ``atoms`` its atom names, sorted.
     """
 
     def __init__(self, f: Formula):
         self.nodes: List[tuple] = []
         self.depths: List[int] = []
-        self.bases: List[int] = []  # of each node: itself, or ~b for ~ over non-propositional b
-        self.prop_plan: List[tuple] = []  # (index, op, i, j) of each propositional node
+        self.prop_plan: List[tuple] = []  # (index, op, a, b) of each propositional node
         self._plans: Dict[int, List[tuple]] = {}
-        nodes, depths, bases = self.nodes, self.depths, self.bases
+        nodes, depths = self.nodes, self.depths
         seen: Dict[Formula, Optional[int]] = {}  # each subformula lowered -> its node
         stack = [f]
         while stack:  # each subformula once, children first, left to right
@@ -271,37 +272,27 @@ class CompiledFormula:
             if cls is And or cls is CondCorner:
                 a, b = seen[g.left], seen[g.right]
                 key = ("and" if cls is And else "corner", a, b)
-                depth = (depths[a] if depths[a] > depths[b] else depths[b]) + (cls is CondCorner)
             elif cls is Not:
                 a = b = seen[g.child]
-                key, depth = ("not", a), depths[a]
+                key = ("not", a, b)
             elif cls is CondBox:
                 a, b = seen[g.antecedent], seen[g.consequent]
-                key, depth = ("box", a, b), 1 + depths[b]
+                key = ("box" if g.depth > 1 else "corner", a, b)
             else:  # an atom's operand is its name
-                a, b, depth, key = (g.name, 0, 0, ("atom", g.name)) if cls is Atom else (0, 0, 0, ("false",))
+                a, b, key = (g.name, 0, ("atom", g.name)) if cls is Atom else (0, 0, ("false",))
             idx = seen[g] = len(nodes)
             nodes.append(key)
-            depths.append(depth)
-            bases.append(~bases[a] if depth and cls is Not else idx)
-            if not depth:
-                self.prop_plan.append((idx, key[0], a, b if cls is And else 0))
+            depths.append(g.depth)
+            if not g.depth:
+                self.prop_plan.append((idx, key[0], a, b))
         self.root = seen[f]
         self.atoms = tuple(sorted(op[1] for op in nodes if op[0] == "atom"))
 
-    def _step(self, i: int) -> tuple:
-        op, a, b = self.nodes[i]
-        kind, a, b = "corner" if op == "box" and not self.depths[b] else op, self.bases[a], self.bases[b]
-        return i, kind, a if a >= 0 else ~a, -(a < 0), b if b >= 0 else ~b, -(b < 0)
-
     def plan(self, node: int) -> List[tuple]:
-        """What one pass at ``node``'s chain evaluates: (index, op, a, na, b, nb), children first.
+        """What one pass at ``node``'s chain evaluates: (index, op, a, b), children first.
 
-        The non-propositional nodes of ``node``'s sub-DAG but ``~``, without
-        box consequents, which see updated chains.  Operand a has the value
-        ``values[a] ^ na``, na -1 where ``bases`` folds a ``~`` into it.  A
-        box whose consequent is propositional becomes "corner": its mask
-        holds under every chain, so [a]phi and a |> phi are the same test.
+        Every non-propositional node of ``node``'s sub-DAG, ``~`` included,
+        but box consequents, which see updated chains.
         """
         steps = self._plans.get(node)
         if steps is None:
@@ -312,7 +303,7 @@ class CompiledFormula:
                     found.add(i)
                     op = nodes[i]
                     stack += op[1:2] if op[0] == "box" else op[1:]
-            steps = self._plans[node] = [self._step(i) for i in sorted(found) if nodes[i][0] != "not"]
+            steps = self._plans[node] = [(i, *nodes[i]) for i in sorted(found)]
         return steps
 
 
@@ -336,8 +327,7 @@ class ModelEvaluator:
         self.compiled, self.valuation = compiled, valuation
         self.full = full = (1 << n_worlds * segments) - 1
         ones, shift = (1 << n_worlds) - 1, n_worlds - 1
-        self.low = full // ones
-        high = self.low << shift  # the top bit of each segment
+        high = full // ones << shift  # the top bit of each segment
         rest = full ^ high
         # fills each segment where x is nonempty: adding rest carries any of its
         # lower bits into the segment's top bit, and never past it
@@ -357,23 +347,25 @@ class ModelEvaluator:
     def truth_mask(self, node: int, chain: Chain) -> int:
         mask = self.prop[node]
         if mask is None:
-            values, base = self.tables[chain], self.compiled.bases[node]
-            b = base if base >= 0 else ~base
-            if values[b] is None:
-                self._run(b, chain, values)
-            mask = values[b] if base >= 0 else self.full ^ values[b]
+            values = self.tables[chain]
+            if values[node] is None:
+                self._run(node, chain, values)
+            mask = values[node]
         return mask
 
     def _run(self, node: int, chain: Chain, values: List[Optional[int]]) -> None:
         """Fill ``node``'s plan into ``values``, the table of ``chain``; box consequents into theirs."""
-        full, spread, tables, one = self.full, self.spread, self.tables, self.low == 1
-        for i, op, a, na, b, nb in self.compiled.plan(node):
+        full, spread, tables = self.full, self.spread, self.tables
+        for i, op, a, b in self.compiled.plan(node):
             if values[i] is not None:
                 continue
-            if op == "and":
-                values[i] = (values[a] ^ na) & (values[b] ^ nb) & full
+            if op == "not":
+                values[i] = full ^ values[a]
                 continue
-            alpha = (values[a] ^ na) & full
+            if op == "and":
+                values[i] = values[a] & values[b]
+                continue
+            alpha = values[a]
             if not alpha:
                 values[i] = full
                 continue
@@ -382,15 +374,15 @@ class ModelEvaluator:
                 x = alpha & s
                 if not x:
                     break
-                exp = x if one else x | exp & ~spread(x)  # one segment: x is nonempty there
+                exp = x | exp & ~spread(x)
             if op == "corner":
-                consequent = values[b] ^ nb
+                consequent = values[b]
             else:
                 updated = update_chain(alpha, chain, full)
                 table = tables[updated]
                 if table[b] is None:
                     self._run(b, updated, table)
-                consequent = table[b] ^ nb
+                consequent = table[b]
             bad = exp & ~consequent  # segments where the box fails
             values[i] = full ^ spread(bad) if bad else full
 

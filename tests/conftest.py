@@ -147,6 +147,20 @@ def context_chain(context: Sequence[int], n_worlds: int) -> Chain:
     return chain
 
 
+def ordered_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str], ...]]:
+    """All sequences of disjoint nonempty blocks covering ``items``."""
+    if not items:
+        yield ()
+        return
+    pool = list(items)
+    for r in range(1, len(pool) + 1):
+        for block in itertools.combinations(pool, r):
+            chosen = frozenset(block)
+            remainder = tuple(x for x in pool if x not in chosen)
+            for tail in ordered_partitions(remainder):
+                yield (chosen,) + tail
+
+
 def canonical_partitions(items: Tuple[str, ...]) -> Iterator[Tuple[FrozenSet[str], ...]]:
     """Ordered partitions with blocks in min-element order.
 

@@ -26,7 +26,6 @@ from conwon.lewis import (
     context_to_partition,
     eval_v,
     flat_equivalence_check,
-    ordered_partitions,
     partition_to_context,
 )
 from conwon.models import Model, SequenceContext, core, load_context, load_model
@@ -38,7 +37,8 @@ from conwon.semantics import (
     find_countermodel,
     is_valid_up_to,
 )
-from conftest import disagreement, e_mask, formula_battery, invoke, iter_contexts, random_formula
+from conftest import (disagreement, e_mask, formula_battery, invoke, iter_contexts, ordered_partitions,
+                      random_formula)
 
 
 @pytest.fixture

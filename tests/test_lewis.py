@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conwon import lewis
-from conwon.formula import And, Atom, CondCorner, Not, atoms, modal_depth, parse_formula, render
+from conwon.formula import (And, Atom, CondBox, CondCorner, Not, atoms, dialect_of, is_flat, is_propositional,
+                            modal_depth, parse_formula, render, translate_flat)
 from conwon.lewis import (
     PseudoSphereModelV,
     RelationalModelV,
@@ -13,14 +14,13 @@ from conwon.lewis import (
     context_to_partition,
     eval_v,
     flat_equivalence_check,
-    ordered_partitions,
     partition_to_context,
     satisfying_witness_v,
     universal_to_sphere,
 )
 from conwon.models import Model, SchemaError
-from conwon.semantics import EvaluationError, SearchBounds
-from conftest import formula_battery, iter_pseudo_sphere_models
+from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, satisfying_witness
+from conftest import formula_battery, iter_pseudo_sphere_models, ordered_partitions, random_formula
 
 
 def pv(text):
@@ -292,14 +292,57 @@ def test_flat_equivalence_harness():
 
 
 def test_flat_equivalence_keeps_the_enumeration_cap():
-    # [p]q at (3, 1): 50 (valuation, chain) pairs on each side, as both
-    # search the same bounds
+    # [p]q at (3, 1): 50 (valuation, chain) pairs, searched once for both sides
     f = parse_formula("[p]q")
     assert flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=50)).agrees
     with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
         flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=49))
     with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
         satisfying_witness_v(parse_formula("p |> q", dialect="v"), SearchBounds(3, 1, max_enumeration=49))
+
+
+def _two_search_report(f, bounds):
+    """The report as one search per dialect gave it, each transport check run, as a tuple."""
+    f_conwon = translate_flat(f, "conwon") if dialect_of(f) == "v" else f
+    f_v = translate_flat(f_conwon, "v")
+    conwon_wit, v_wit = satisfying_witness(f_conwon, bounds), satisfying_witness_v(f_v, bounds)
+    checks = []
+    if isinstance(f_conwon, CondBox) and is_propositional(f_conwon.consequent):
+        if v_wit is not None:
+            cpm = lewis._transport_v_to_conwon(v_wit[0], f_conwon)
+            checks.append(f"V witness transported to a context: {'verified' if eval_cpm(cpm, f_conwon) else 'FAILED'}")
+        if conwon_wit is not None:
+            ok = eval_v(*lewis._transport_conwon_to_v(conwon_wit), f_v)
+            checks.append(f"context witness transported to pseudo-spheres: {'verified' if ok else 'FAILED'}")
+    return (render(f_conwon), conwon_wit is not None, v_wit is not None, conwon_wit and conwon_wit.to_json(),
+            v_wit and (v_wit[0].to_json(), v_wit[1]), checks)
+
+
+def test_flat_equivalence_searches_once(monkeypatch):
+    # a flat formula's negation and its |> translation's lower to the same
+    # nodes, so one search serves both sides and the report is the one two
+    # searches, one per dialect, gave
+    calls = []
+    search_points = lewis.search_points
+    monkeypatch.setattr(lewis, "search_points", lambda f, bounds: calls.append(f) or search_points(f, bounds))
+    rng = random.Random(20261025)
+    for dialect in ("conwon", "v"):
+        battery = [parse_formula(t, dialect=dialect) for t in
+                   (["[p]q", "[p]q & ~q", "~[p | q]~p", "p & ~p"] if dialect == "conwon" else ["p |> q", "~(p |> q) & q"])]
+        while len(battery) < 100:
+            f = random_formula(rng, ("p", "q", "r"), 1, size=4, dialect=dialect)
+            battery += [f] if is_flat(f) else []
+        for f in battery:
+            f_conwon = translate_flat(f, "conwon") if dialect == "v" else f
+            assert CompiledFormula(Not(f_conwon)).nodes == CompiledFormula(Not(translate_flat(f_conwon, "v"))).nodes
+            for bounds in (SearchBounds(2, 1), SearchBounds(3, 2)):
+                calls.clear()
+                report = flat_equivalence_check(f, bounds)
+                assert len(calls) == 1, render(f)
+                assert (report.formula, report.conwon_satisfiable, report.v_satisfiable,
+                        report.conwon_witness and report.conwon_witness.to_json(),
+                        report.v_witness and (report.v_witness[0].to_json(), report.v_witness[1]),
+                        report.transport_checks) == _two_search_report(f, bounds), render(f)
 
 
 def test_flat_equivalence_rejects_nested():

@@ -291,7 +291,7 @@ def test_sweeps_keep_the_enumeration_cap():
 
 
 def _reference_plan(compiled, node):
-    """The non-propositional nodes but ``~`` of ``node``'s sub-DAG, box consequents left out."""
+    """The non-propositional nodes of ``node``'s sub-DAG, ``~`` included, box consequents left out."""
     found, stack = set(), [node]
     while stack:
         i = stack.pop()
@@ -299,25 +299,24 @@ def _reference_plan(compiled, node):
             found.add(i)
             op = compiled.nodes[i]
             stack += op[1:2] if op[0] == "box" else op[1:]
-    return {i for i in found if compiled.nodes[i][0] != "not"}
+    return found
 
 
 def _plan_roots(compiled, root):
-    """The root and every non-propositional box consequent below it, as the kernel runs them."""
+    """The root and every box consequent below it, as the kernel runs them."""
     found, stack = set(), [root]
     while stack:
         i = stack.pop()
         if i not in found:
             found.add(i)
             stack += [j for j in compiled.nodes[i][1:] if type(j) is int]
-    bases = [compiled.bases[i] for i in [root] + [compiled.nodes[i][2] for i in found
-                                                  if compiled.nodes[i][0] == "box"]]
-    return {max(b, ~b) for b in bases if compiled.depths[max(b, ~b)]}
+    return {root} | {compiled.nodes[i][2] for i in found if compiled.nodes[i][0] == "box"}
 
 
 def test_sweeps_walk_each_template_once(monkeypatch):
-    # one DAG per schema, its generic instance lowered once; every plan a
-    # pass there runs has the steps a search of the DAG finds, each once,
+    # one DAG per schema, its generic instance lowered once; a box over a
+    # propositional consequent lowers as a corner; every plan a pass there
+    # runs has the steps a search of the DAG finds, ~ included, each once,
     # children first
     import conwon.semantics
 
@@ -331,13 +330,17 @@ def test_sweeps_walk_each_template_once(monkeypatch):
     monkeypatch.setattr(conwon.semantics, "CompiledFormula", Recorded)
     searches = sum(soundness_sweep(system, SearchBounds(1, 1)).instances for system in ("conwon", "v1"))
     assert (len(made), searches) == (15, 15)
+    kinds = set()
     for compiled in made:
+        assert all(compiled.depths[op[2]] for op in compiled.nodes if op[0] == "box")
         for node in _plan_roots(compiled, compiled.root):
+            kinds.update(step[1] for step in compiled.plan(node))
             steps = [step[0] for step in compiled.plan(node)]
             assert set(steps) == _reference_plan(compiled, node) and len(set(steps)) == len(steps)
             order = {i: k for k, i in enumerate(steps)}
             assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
-                       for i, op, a, _, b, _ in compiled.plan(node))
+                       for i, op, a, b in compiled.plan(node))
+    assert kinds == {"not", "and", "box", "corner"}
 
 
 @pytest.mark.parametrize("system", ["conwon", "v1"])
