@@ -70,9 +70,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
+import sys
+from collections import OrderedDict, defaultdict
 from math import comb
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import FrozenRecord, InputError, Record
 from .formula import (
@@ -204,9 +205,19 @@ def eval_cpm(cpm: ContextualizedPointedModel, f: Formula, trace: Optional[EvalTr
 Chain = Tuple[int, ...]
 
 # Most bits a block of pairs packs into a mask (2 kB).  A search holds one block, with a table
-# (a mask per node) per chain it meets, at most one per box of the formula's tree plus one, and
-# cached packed chains per (|W|, bound): |W| bits per chain entry, BLOCK_BITS if one block; 2.7 MB at (8, 7).
+# (a mask per node) per chain it meets, at most one per box of the formula's tree plus one.
 BLOCK_BITS = 2 ** 14
+
+# Most bytes the search scaffolding keeps between searches, in one least-recently-used cache
+# (:func:`_kept`): per (|W|, bound, block bits) the packed chains, and per (atom count, |W|,
+# bound, block bits) every block's segment count, masks per atom index and packed chain
+# entries, all independent of the formula.  An entry is kept when a bound on its ints and
+# tuples fits, older entries dropped first; blocks, cheap to rebuild next to the chain walk,
+# only when they fit an eighth.  One that cannot fit is built again by each search, block by
+# block, and dropped.  Over three atoms at (8, 7) all is kept, the |W| = 8 chains (3 MB)
+# included; over four atoms at (6, 2) neither the |W| = 5 blocks (2 MB) nor the |W| = 6 ones
+# (16 MB) are.
+CACHE_BYTES = 2 ** 23
 
 MAX_ENUMERATION = 50_000_000  # the default cap on the (valuation, chain) pairs of one search
 
@@ -410,23 +421,109 @@ def chains(n_worlds: int, max_len: int) -> Iterator[Chain]:
                 stack.append(chain + (s,))
 
 
-@functools.lru_cache(maxsize=32)
+_cache: "OrderedDict[tuple, Tuple[tuple, int]]" = OrderedDict()  # key -> (value, size bound), oldest use first
+
+
+def _kept(key: tuple, size: Callable[[], int], build: Callable[[], Iterator], share: int = 1) -> Iterable:
+    """What ``build()`` yields, kept as a tuple under ``key`` when ``size()`` bytes fit CACHE_BYTES // share.
+
+    Keeping it drops the least recently used entries until the sizes fit
+    CACHE_BYTES.  An entry that does not fit is never kept: ``build()``
+    itself comes back, to be walked once.
+    """
+    hit = _cache.get(key)
+    if hit is not None:
+        _cache.move_to_end(key)
+        return hit[0]
+    bound = size()
+    if bound > CACHE_BYTES // share:
+        return build()
+    value = tuple(build())
+    while _cache and sum(kept for _, kept in _cache.values()) + bound > CACHE_BYTES:
+        _cache.popitem(last=False)
+    _cache[key] = value, bound
+    return value
+
+
+def _layout(n_worlds: int, max_len: int, block_bits: int) -> Tuple[int, int, int]:
+    """(segments per block, copies, runs) of the chains of length <= max_len at |W| = n_worlds.
+
+    A run is one block's chains; ``copies`` type sets share a block when
+    one run holds all the chains.
+    """
+    segments, count = max(1, block_bits // n_worlds), chain_count(n_worlds, max_len)
+    return segments, segments // count if count < segments else 1, -(-count // segments)
+
+
+def _chain_bytes(n_worlds: int, max_len: int, block_bits: int) -> int:
+    """A bound on the bytes of ``_packed_chains``'s runs: max_len entries per run, each a block wide."""
+    segments, _, runs = _layout(n_worlds, max_len, block_bits)
+    word = sys.getsizeof((1 << max(block_bits, n_worlds)) - 1)
+    return sys.getsizeof((0,) * runs) + runs * (sys.getsizeof((0, 0)) + sys.getsizeof(segments)
+                                                + sys.getsizeof((0,) * max_len) + max_len * word)
+
+
 def _packed_chains(n_worlds: int, max_len: int, block_bits: int) -> Tuple[int, Tuple[Tuple[int, Chain], ...]]:
     """``chains(n_worlds, max_len)`` cut into runs of one block: (copies, ((length, entries) of each run)).
 
     Entry j of a run holds in segment c the j-th set of its c-th chain, empty
     past its end, repeated for ``copies`` type sets if one run holds all.
     """
-    segments, width = max(1, block_bits // n_worlds), f"0{n_worlds}b"
-    digits = [format(s, width) for s in range(1 << n_worlds)]
-    walk, runs = chains(n_worlds, max_len), []
-    while run := tuple(itertools.islice(walk, segments)):  # one run's chains at a time
-        copies = segments // len(run) if not runs and len(run) < segments else 1
-        runs.append((len(run), tuple(int("".join(map(digits.__getitem__, reversed(level))) * copies, 2)
-                                     for level in itertools.zip_longest(*run, fillvalue=0))))
-    return copies, tuple(runs)
+    segments, copies, _ = _layout(n_worlds, max_len, block_bits)
+
+    def pack():
+        width = f"0{n_worlds}b"
+        digits = [format(s, width) for s in range(1 << n_worlds)]
+        walk = chains(n_worlds, max_len)
+        while run := tuple(itertools.islice(walk, segments)):  # one run's chains at a time
+            yield len(run), tuple(int("".join(map(digits.__getitem__, reversed(level))) * copies, 2)
+                                  for level in itertools.zip_longest(*run, fillvalue=0))
+
+    return copies, tuple(_kept(("chains", n_worlds, max_len, block_bits),
+                               lambda: _chain_bytes(n_worlds, max_len, block_bits), pack))
 
 
+def _type_blocks(n_atoms: int, n_worlds: int, max_len: int, block_bits: int) -> Iterable[Tuple[int, tuple, Chain]]:
+    """(segments, masks, packed chain) of each block of the pairs at |W| = n_worlds, in search order.
+
+    ``masks[i]`` holds, in every segment, the worlds of that segment's type
+    set whose type has bit i; the blocks of one type set that have as many
+    segments share one masks tuple.  Nothing here depends on the formula.
+    """
+    n_types = 1 << n_atoms
+
+    def build():
+        copies, packed = _packed_chains(n_worlds, max_len, block_bits)
+        stride = packed[0][0] * n_worlds  # the bits of one type set in the first run
+        type_sets = itertools.combinations(range(n_types), n_worlds)
+        while group := tuple(itertools.islice(type_sets, copies)):
+            at = [0] * n_types  # each type's worlds in each type set's first segment, then OR-ed per atom
+            for g, types in enumerate(group):
+                for w, t in enumerate(types, g * stride):
+                    at[t] |= 1 << w
+            base = [sum(m for t, m in enumerate(at) if t >> i & 1) for i in range(n_atoms)]
+            shared: Dict[int, tuple] = {}  # per run length, the masks repeated over that many chains
+            for length, entries in packed:
+                if length not in shared:
+                    low = ((1 << length * n_worlds) - 1) // ((1 << n_worlds) - 1)
+                    shared[length] = tuple(m * low for m in base)
+                segments = len(group) * length
+                yield segments, shared[length], entries if len(group) == copies else tuple(
+                    s & (1 << segments * n_worlds) - 1 for s in entries)
+
+    def size():  # the chains, then per block, per masks tuple, and a partial last group's entries
+        segments, copies, runs = _layout(n_worlds, max_len, block_bits)
+        groups = -(-comb(n_types, n_worlds) // copies)
+        word = sys.getsizeof((1 << max(block_bits, n_worlds)) - 1)
+        return (_chain_bytes(n_worlds, max_len, block_bits)
+                + groups * runs * (sys.getsizeof((0, 0, 0)) + sys.getsizeof(segments))
+                + groups * min(runs, 2) * (sys.getsizeof((0,) * n_atoms) + n_atoms * word)
+                + sys.getsizeof((0,) * max_len) + max_len * word)
+
+    return _kept(("blocks", n_atoms, n_worlds, max_len, block_bits), size, build, share=8)
+
+
+@functools.lru_cache(maxsize=1024)
 def chain_count(n_worlds: int, max_len: int) -> int:
     """``len(chains(n_worlds, max_len))`` without enumerating them.
 
@@ -489,20 +586,9 @@ def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPo
 
 def _blocks(compiled: CompiledFormula, names: Tuple[str, ...], max_len: int, max_worlds: int):
     """(|W|, evaluator, packed chain) of each block in search order, segment s holding its s-th pair."""
-    n_types = 1 << len(names)
-    for n in range(1, min(max_worlds, n_types) + 1):
-        copies, runs = _packed_chains(n, min(max_len, n - 1), BLOCK_BITS)  # only once the search reaches n
-        type_sets = itertools.combinations(range(n_types), n)
-        while group := tuple(itertools.islice(type_sets, copies)):
-            at = [0] * n_types  # each type's worlds in each type set's first segment, then OR-ed per atom
-            for g, types in enumerate(group):
-                for w, t in enumerate(types, g * runs[0][0] * n):
-                    at[t] |= 1 << w
-            base = {a: sum(m for t, m in enumerate(at) if t >> i & 1) for i, a in enumerate(names)}
-            for length, entries in runs:
-                low = ((1 << length * n) - 1) // ((1 << n) - 1)  # repeats a type set over the run's chains
-                ev = ModelEvaluator(compiled, n, {a: m * low for a, m in base.items()}, len(group) * length)
-                yield n, ev, entries if len(group) == copies else tuple(s & ev.full for s in entries)
+    for n in range(1, min(max_worlds, 1 << len(names)) + 1):  # only once the search reaches n
+        for segments, masks, entries in _type_blocks(len(names), n, min(max_len, n - 1), BLOCK_BITS):
+            yield n, ModelEvaluator(compiled, n, dict(zip(names, masks)), segments), entries
 
 
 def recheck_countermodel(f: Formula, witness: Optional[ContextualizedPointedModel]):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from collections import OrderedDict
 
 import pytest
 
@@ -497,6 +499,63 @@ def test_packed_search_keeps_the_single_valuation_order(monkeypatch, block_bits)
                 witness = search_points(f, SearchBounds(max_worlds, max_len))
                 first = _first_falsifying_point(f, max_worlds, max_len)
                 assert (witness and witness.to_json()) == (first and first.to_json()), (render(f), block_bits)
+
+
+DEFAULT_AND_SMALL_BLOCKS = (semantics.BLOCK_BITS, 10)
+
+
+def _block_sequence(monkeypatch, budget):
+    """Every (|W|, valuation, packed chain) ``_blocks`` yields over the packed batteries, from a fresh cache."""
+    monkeypatch.setattr(semantics, "_cache", OrderedDict())
+    monkeypatch.setattr(semantics, "CACHE_BYTES", budget)
+    seen = []
+    for block_bits in DEFAULT_AND_SMALL_BLOCKS:
+        monkeypatch.setattr(semantics, "BLOCK_BITS", block_bits)
+        for formulas in _packed_batteries():
+            for f in formulas:
+                compiled = CompiledFormula(f)
+                for max_worlds, max_len in [(3, 3), (4, 2)]:
+                    seen += [(n, ev.valuation, packed)
+                             for n, ev, packed in _blocks(compiled, compiled.atoms or ("p",), max_len, max_worlds)]
+    return seen, len(semantics._cache)
+
+
+def test_kept_blocks_match_lazy_blocks(monkeypatch):
+    # the scaffolding kept between searches and the one built block by block
+    # for each search, with nothing kept, yield the same blocks in one order
+    kept, entries = _block_sequence(monkeypatch, 2 ** 40)
+    lazy, none = _block_sequence(monkeypatch, 0)
+    assert entries and not none
+    assert kept == lazy
+
+
+def _retained(values):
+    """The bytes of the distinct ints and tuples reachable from ``values``."""
+    sizes, stack = {}, list(values)
+    while stack:
+        x = stack.pop()
+        if id(x) not in sizes:
+            sizes[id(x)] = sys.getsizeof(x)
+            if type(x) is tuple:
+                stack += x
+    return sum(sizes.values())
+
+
+def test_kept_scaffolding_stays_within_the_budget(monkeypatch):
+    # a budget smaller than the masks of these searches: blocks that do not fit
+    # an eighth of it run unkept, chains that do not fit drop older ones, and
+    # what stays holds no more than the budget
+    monkeypatch.setattr(semantics, "_cache", OrderedDict())
+    monkeypatch.setattr(semantics, "CACHE_BYTES", 30_000)
+    axiom, bits = "([p]q & [p]r) -> [p & q]r", semantics.BLOCK_BITS
+    assert find_countermodel(parse_formula(axiom), SearchBounds(6, 5)) is None
+    kept = set(semantics._cache)
+    assert ("chains", 6, 5, bits) in kept and ("blocks", 3, 6, 5, bits) not in kept
+    assert ("chains", 2, 1, bits) not in kept  # dropped for later ones
+    assert find_countermodel(parse_formula(axiom.replace("r", "(r | s)")), SearchBounds(4, 2)) is None
+    assert ("chains", 4, 2, bits) in semantics._cache and ("blocks", 4, 4, 2, bits) not in semantics._cache
+    assert sum(size for _, size in semantics._cache.values()) <= semantics.CACHE_BYTES
+    assert _retained(value for value, _ in semantics._cache.values()) <= semantics.CACHE_BYTES
 
 
 def test_one_node_per_distinct_subformula():
