@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SEMANTICS, MODELS, PROOFS = "src/conwon/semantics.py", "src/conwon/models.py", "src/conwon/proofs.py"
+LEWIS = "src/conwon/lewis.py"
 
 MUTANTS = [
     ("kernel.expected-is-antecedent", SEMANTICS,
@@ -60,6 +61,9 @@ MUTANTS = [
     ("blocks.key-without-atom-count", SEMANTICS,
      '("blocks", n_atoms, n_worlds, max_len, block_bits)',
      '("blocks", n_worlds, max_len, block_bits)'),
+    ("lewis.sphere-last-hit", LEWIS,
+     "    for block in blocks:\n        hit = block & phi\n",
+     "    for block in reversed(blocks):\n        hit = block & phi\n"),
 ]
 
 

@@ -18,13 +18,12 @@ _MODULE_OF = {
         "models"),
     **dict.fromkeys(
         ("ContextualizedPointedModel", "SearchBounds", "evaluate", "extension",
-         "find_countermodel", "is_satisfiable_up_to", "is_valid_up_to", "satisfying_witness"),
+         "find_countermodel"),
         "semantics"),
     **dict.fromkeys(("RewriteError", "rewrite_step", "sigma"), "reduction"),
     **dict.fromkeys(
-        ("PseudoSphereModelV", "RelationalModelV", "SphereModelV", "UniversalRelationalModelV",
-         "context_to_partition", "eval_v", "flat_equivalence_check", "partition_to_context",
-         "universal_to_sphere"),
+        ("PseudoSphereModelV", "context_to_partition", "eval_v", "flat_equivalence_check",
+         "partition_to_context"),
         "lewis"),
     **dict.fromkeys(("check_proof", "load_proof", "match_schema", "soundness_sweep"), "proofs"),
 }

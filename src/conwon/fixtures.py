@@ -105,21 +105,20 @@ def _run_nonmono() -> Tuple[int, dict, List[str]]:
 
 def _run_fact16() -> Tuple[int, dict, List[str]]:
     from .formula import parse_formula, render
-    from .lewis import RelationalModelV, eval_v
+    from .lewis import PseudoSphereModelV, eval_v
     from .models import Model
     from .semantics import SearchBounds, find_countermodel
 
     conwon_side = parse_formula(FACT16_CONWON)
     witness = find_countermodel(conwon_side, SearchBounds(3, 5))
     model = Model(("w1", "w2"), {"p": frozenset({"w1"}), "q": frozenset({"w1", "w2"})})
-    order = frozenset({("w2", "w1")})
-    relational = RelationalModelV(model, {w: (model.world_set, order) for w in model.worlds})
+    spheres = PseudoSphereModelV(model, (frozenset({"w2"}), frozenset({"w1"})))  # the order w2 < w1
     v_side = parse_formula(FACT16_V, dialect="v")
-    v_value = eval_v(relational, "w1", v_side)
+    v_value = eval_v(spheres, "w1", v_side)
     lines = [
         f"{render(conwon_side)}: "
         + ("no countermodel at bounds (3,5)" if witness is None else "FALSIFIED"),
-        f"{render(v_side)} at w1 of the two-world relational model: "
+        f"{render(v_side)} at w1 of the two-sphere model: "
         + ("true" if v_value else "false"),
     ]
     payload = {

@@ -1,13 +1,11 @@
-"""Comparative-possibility conditional logic V: models, truth and equivalence harness.
+"""Comparative-possibility conditional logic V: pseudo-sphere models, truth and equivalence harness.
 
-:func:`truth_set_v` evaluates a formula as one walk over world sets,
-each subformula once, and :func:`eval_v` reads one world off it.  Four
-model classes for the dialect with the binary conditional ``|>``:
-
-* :class:`RelationalModelV` -- a per-world frame (W_w, <_w);
-* :class:`UniversalRelationalModelV` -- one global strict order;
-* :class:`SphereModelV` -- an ordered partition into nonempty blocks;
-* :class:`PseudoSphereModelV` -- an ordered partition allowing empty blocks.
+:class:`PseudoSphereModelV` is the one model class for the dialect with
+the binary conditional ``|>``: an ordered partition of the worlds into
+blocks, least first, empty blocks allowed.  These are the chains of the
+contextual search read as spheres.  :func:`truth_set_v` evaluates a
+formula on one as a walk over world sets, each subformula once, and
+:func:`eval_v` reads one world off it.
 
 The module also hosts the constructive transformations between block
 sequences and sequence contexts, and a harness that checks flat formulas
@@ -17,7 +15,7 @@ witnesses across the transformations for single conditionals.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import FrozenRecord, Record
 from .formula import (
@@ -42,58 +40,6 @@ from .semantics import (
     search_points,
 )
 
-OrderPairs = FrozenSet[Tuple[str, str]]
-
-
-def _check_strict_order(pairs: OrderPairs, domain: WorldSet, what: str) -> None:
-    for (a, b) in pairs:
-        if a not in domain or b not in domain:
-            raise SchemaError(f"{what}: pair ({a!r},{b!r}) leaves the domain")
-        if a == b:
-            raise SchemaError(f"{what}: not irreflexive at {a!r}")
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            if b == c and (a, d) not in pairs:
-                raise SchemaError(f"{what}: not transitive at ({a!r},{d!r})")
-    # almost connected: a < b implies a < v or v < b for every v
-    for (a, b) in pairs:
-        for v in domain:
-            if v in (a, b):
-                continue
-            if (a, v) not in pairs and (v, b) not in pairs:
-                raise SchemaError(f"{what}: not almost connected at ({a!r},{b!r}) via {v!r}")
-
-
-class RelationalModelV(FrozenRecord):
-    """Per-world frames: gamma[w] = (W_w, <_w)."""
-
-    __slots__ = ("model", "gamma")
-
-    def __init__(self, model: Model, gamma: Mapping[str, Tuple[WorldSet, OrderPairs]]):
-        frames = {}
-        for w in model.worlds:
-            if w not in gamma:
-                raise SchemaError(f"no frame for world {w!r}")
-            domain, pairs = gamma[w]
-            domain = frozenset(domain)
-            pairs = frozenset(pairs)
-            if not domain <= model.world_set:
-                raise SchemaError(f"frame of {w!r} leaves the world set")
-            _check_strict_order(pairs, domain, f"order at {w!r}")
-            frames[w] = (domain, pairs)
-        self._assign(model, frames)
-
-
-class UniversalRelationalModelV(FrozenRecord):
-    """One global strict order on all worlds; finiteness gives well-foundedness."""
-
-    __slots__ = ("model", "order")
-
-    def __init__(self, model: Model, order: OrderPairs):
-        pairs = frozenset(order)
-        _check_strict_order(pairs, model.world_set, "global order")
-        self._assign(model, pairs)
-
 
 def _check_blocks(blocks: Sequence[WorldSet], world_set: WorldSet, allow_empty: bool) -> Tuple[WorldSet, ...]:
     blocks = tuple(frozenset(b) for b in blocks)
@@ -107,15 +53,6 @@ def _check_blocks(blocks: Sequence[WorldSet], world_set: WorldSet, allow_empty: 
     if seen != set(world_set):
         raise SchemaError("blocks do not cover the world set exactly")
     return blocks
-
-
-class SphereModelV(FrozenRecord):
-    """Ordered partition into nonempty blocks; index 0 is the least block."""
-
-    __slots__ = ("model", "blocks")
-
-    def __init__(self, model: Model, blocks: Sequence[WorldSet]):
-        self._assign(model, _check_blocks(blocks, model.world_set, False))
 
 
 class PseudoSphereModelV(FrozenRecord):
@@ -132,35 +69,9 @@ class PseudoSphereModelV(FrozenRecord):
         return data
 
 
-ModelV = Union[RelationalModelV, UniversalRelationalModelV, SphereModelV, PseudoSphereModelV]
-
-
 # ---------------------------------------------------------------------------
 # Truth
 # ---------------------------------------------------------------------------
-
-
-def _conditional_relational(frame: Tuple[WorldSet, OrderPairs], phi: WorldSet, psi: WorldSet) -> bool:
-    # the limit-free forall/exists/forall clause: every antecedent world
-    # sees, at or below itself, an antecedent world below which the
-    # antecedent forces the consequent
-    domain, pairs = frame
-
-    def at_or_below(a: str, b: str) -> bool:
-        return a == b or (a, b) in pairs
-
-    for u in domain:
-        if u not in phi:
-            continue
-        witnessed = any(
-            v in phi
-            and at_or_below(v, u)
-            and all(z not in phi or z in psi for z in domain if at_or_below(z, v))
-            for v in domain
-        )
-        if not witnessed:
-            return False
-    return True
 
 
 def _conditional_blocks(blocks: Sequence[WorldSet], phi: WorldSet, psi: WorldSet) -> bool:
@@ -171,30 +82,23 @@ def _conditional_blocks(blocks: Sequence[WorldSet], phi: WorldSet, psi: WorldSet
     return True
 
 
-def truth_set_v(m: ModelV, f: Formula) -> WorldSet:
+def truth_set_v(m: PseudoSphereModelV, f: Formula) -> WorldSet:
     """The worlds where a ``|>``-dialect formula holds, each node walked once.
 
-    A relational model decides ``phi |> psi`` per world, from its frame;
-    in the other three it holds at every world or at none.
+    ``phi |> psi`` holds at every world or at none: in the least sphere
+    that meets phi, every phi-world is a psi-world.
     """
     worlds = m.model.world_set
 
     def corner(g: Formula, walk) -> WorldSet:
         if type(g) is not CondCorner:
             raise ValueError(f"not a |>-dialect formula: {g!r}")
-        phi, psi = walk(g.left), walk(g.right)
-        if isinstance(m, RelationalModelV):
-            return frozenset(w for w in m.model.worlds if _conditional_relational(m.gamma[w], phi, psi))
-        if isinstance(m, UniversalRelationalModelV):  # psi at every minimal phi-world
-            holds = all(u in psi for u in phi if not any((z, u) in m.order for z in phi))
-        else:
-            holds = _conditional_blocks(m.blocks if isinstance(m, SphereModelV) else m.spheres, phi, psi)
-        return worlds if holds else frozenset()
+        return worlds if _conditional_blocks(m.spheres, walk(g.left), walk(g.right)) else frozenset()
 
     return set_walk(worlds, m.model.extent, corner)(f)
 
 
-def eval_v(m: ModelV, w: str, f: Formula) -> bool:
+def eval_v(m: PseudoSphereModelV, w: str, f: Formula) -> bool:
     """Truth of a ``|>``-dialect formula at world ``w``."""
     if w not in m.model.world_set:
         raise EvaluationError(f"unknown world {w!r}")
@@ -204,31 +108,6 @@ def eval_v(m: ModelV, w: str, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Transformations
 # ---------------------------------------------------------------------------
-
-
-def universal_to_sphere(m: UniversalRelationalModelV) -> SphereModelV:
-    """Quotient a global order into its ordered partition of incomparables."""
-    worlds = list(m.model.worlds)
-    blocks: List[set] = []
-    for w in worlds:
-        for block in blocks:
-            rep = next(iter(block))
-            if (w, rep) not in m.order and (rep, w) not in m.order:
-                block.add(w)
-                break
-        else:
-            blocks.append({w})
-    # sort blockwise: X before Y iff members of X sit below members of Y
-    def below(x: set, y: set) -> bool:
-        return all((a, b) in m.order for a in x for b in y)
-
-    ordered: List[set] = []
-    remaining = blocks[:]
-    while remaining:
-        least = next(b for b in remaining if all(b is o or below(b, o) for o in remaining))
-        ordered.append(least)
-        remaining.remove(least)
-    return SphereModelV(m.model, tuple(frozenset(b) for b in ordered))
 
 
 def partition_to_context(blocks: Sequence[WorldSet]) -> Tuple[WorldSet, ...]:
@@ -244,12 +123,12 @@ def partition_to_context(blocks: Sequence[WorldSet]) -> Tuple[WorldSet, ...]:
     return tuple(reversed(xs))
 
 
-def context_to_partition(entries: Sequence[WorldSet], world_set: Optional[WorldSet] = None) -> Tuple[WorldSet, ...]:
+def context_to_partition(entries: Sequence[WorldSet], world_set: WorldSet) -> Tuple[WorldSet, ...]:
     """Running-intersection differences: Y_i = X_0 & ... & X_i - X_{i+1}."""
     entries = tuple(frozenset(x) for x in entries)
     if not entries:
         raise SchemaError("context must be nonempty")
-    if world_set is not None and entries[0] != frozenset(world_set):
+    if entries[0] != frozenset(world_set):
         raise SchemaError("first entry must be the full world set")
     ys = []
     running = entries[0]

@@ -28,10 +28,6 @@ class SchemaError(InputError):
     """Invalid model/context data with a human-readable diagnostic."""
 
 
-def _world_set(worlds: Iterable[str]) -> WorldSet:
-    return frozenset(worlds)
-
-
 class Model(FrozenRecord):
     """A world set and a valuation; ``world_set`` is the worlds as a frozenset."""
 
@@ -40,12 +36,12 @@ class Model(FrozenRecord):
     def __init__(self, worlds: Tuple[str, ...], valuation: Mapping[str, WorldSet]):
         if not worlds:
             raise SchemaError("world set must be nonempty")
-        wset = _world_set(worlds)
+        wset = frozenset(worlds)
         if len(wset) != len(worlds):
             raise SchemaError("duplicate world identifier")
         val = {}
         for atom, extent in valuation.items():
-            extent = _world_set(extent)
+            extent = frozenset(extent)
             unknown = extent - wset
             if unknown:
                 raise SchemaError(f"valuation of {atom!r} mentions unknown worlds {sorted(unknown)}")
@@ -90,7 +86,7 @@ class OrderedDefaultSet(FrozenRecord):
     __slots__ = ("defaults", "order")
 
     def __init__(self, defaults: Mapping[str, WorldSet], order: Iterable[Tuple[str, str]] = frozenset()):
-        defaults = {name: _world_set(ws) for name, ws in defaults.items()}
+        defaults = {name: frozenset(ws) for name, ws in defaults.items()}
         extents = list(defaults.values())
         if len(set(extents)) != len(extents):
             raise SchemaError("two default names denote the same world set")
@@ -121,16 +117,13 @@ class OrderedDefaultSet(FrozenRecord):
         }
 
 
-Hierarchy = Tuple[FrozenSet[str], ...]
-
-
 class SequenceContext(FrozenRecord):
     """Nonempty sequence of defaults; index 0 has highest priority."""
 
     __slots__ = ("sequence",)
 
     def __init__(self, sequence: Iterable[Iterable[str]]):
-        seq = tuple(_world_set(ws) for ws in sequence)
+        seq = tuple(frozenset(ws) for ws in sequence)
         if not seq:
             raise SchemaError("sequence context must be nonempty")
         self._assign(seq)
@@ -158,7 +151,7 @@ def theta(model: Model) -> SequenceContext:
 # ---------------------------------------------------------------------------
 
 
-def hierarchy(context: OrderedDefaultSet) -> Hierarchy:
+def hierarchy(context: OrderedDefaultSet) -> Tuple[FrozenSet[str], ...]:
     """Stratify defaults by repeatedly removing the maximal elements.
 
     An empty default set yields the one-level hierarchy ``(frozenset(),)``.
@@ -218,7 +211,7 @@ def update(context: Context, extent: Iterable[str], name: str = None) -> Context
     are dropped.  Its ``name`` gets primes (``|p|'``, ``|p|''``, ...) while
     it names another default that stays.  Sequence form: prepend.
     """
-    extent = _world_set(extent)
+    extent = frozenset(extent)
     if isinstance(context, SequenceContext):
         prepended = object.__new__(SequenceContext)  # entries are frozensets: skip __init__
         object.__setattr__(prepended, "sequence", (extent,) + context.sequence)

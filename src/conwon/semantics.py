@@ -608,16 +608,3 @@ def find_countermodel(f: Formula, bounds: SearchBounds) -> Optional[Contextualiz
     with :func:`evaluate`.
     """
     return recheck_countermodel(f, search_points(f, bounds))
-
-
-def is_valid_up_to(f: Formula, bounds: SearchBounds) -> bool:
-    return find_countermodel(f, bounds) is None
-
-
-def is_satisfiable_up_to(f: Formula, bounds: SearchBounds) -> bool:
-    return find_countermodel(Not(f), bounds) is not None
-
-
-def satisfying_witness(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
-    """A contextualized pointed model where ``f`` is true, if one exists."""
-    return find_countermodel(Not(f), bounds)

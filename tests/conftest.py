@@ -7,17 +7,21 @@ context enumerators, and the bitmask forms of the expected set
 only as brute-force references; :func:`reference_parse` and
 :func:`reference_render` are the recursive parser and printer that
 ``conwon.formula`` replaced with loops, kept to compare against;
-:func:`disagreement` is the bounded equivalence check; and
-:func:`invoke` runs the CLI in this process.
+:class:`RelationalModelV` and :func:`truth_set_relational` are Lewis's
+relational semantics for ``|>``, the reference that the pseudo-sphere
+clause of ``conwon.lewis`` is checked against; :func:`disagreement` is
+the bounded equivalence check; and :func:`invoke` runs the CLI in this
+process.
 """
 
 import contextlib
 import io
 import itertools
 import random
-from typing import FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from conwon.cli import main
+from conwon.errors import FrozenRecord
 from conwon.formula import (
     CONWON,
     DIALECTS,
@@ -43,9 +47,10 @@ from conwon.formula import (
     SomeWorld,
     atoms,
     is_propositional,
+    set_walk,
 )
 from conwon.lewis import PseudoSphereModelV
-from conwon.models import Model
+from conwon.models import Model, SchemaError, WorldSet
 from conwon.semantics import Chain, SearchBounds, find_countermodel, update_chain
 
 
@@ -195,6 +200,93 @@ def iter_pseudo_sphere_models(atom_names: Sequence[str], max_worlds: int) -> Ite
             model = Model(worlds, valuation)
             for spheres in canonical_partitions(worlds):
                 yield PseudoSphereModelV(model, spheres)
+
+
+# --- reference relational semantics for |> -------------------------------------
+# Lewis (Counterfactuals, 1973): each world w has a frame (W_w, <_w), a domain
+# and an almost connected strict order on it, and phi |> psi holds at w by
+# the limit-free forall/exists/forall clause.
+
+
+OrderPairs = FrozenSet[Tuple[str, str]]
+
+
+def _check_strict_order(pairs: OrderPairs, domain: WorldSet, what: str) -> None:
+    for (a, b) in pairs:
+        if a not in domain or b not in domain:
+            raise SchemaError(f"{what}: pair ({a!r},{b!r}) leaves the domain")
+        if a == b:
+            raise SchemaError(f"{what}: not irreflexive at {a!r}")
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            if b == c and (a, d) not in pairs:
+                raise SchemaError(f"{what}: not transitive at ({a!r},{d!r})")
+    # almost connected: a < b implies a < v or v < b for every v
+    for (a, b) in pairs:
+        for v in domain:
+            if v in (a, b):
+                continue
+            if (a, v) not in pairs and (v, b) not in pairs:
+                raise SchemaError(f"{what}: not almost connected at ({a!r},{b!r}) via {v!r}")
+
+
+class RelationalModelV(FrozenRecord):
+    """Per-world frames: gamma[w] = (W_w, <_w)."""
+
+    __slots__ = ("model", "gamma")
+
+    def __init__(self, model: Model, gamma: Mapping[str, Tuple[WorldSet, OrderPairs]]):
+        frames = {}
+        for w in model.worlds:
+            if w not in gamma:
+                raise SchemaError(f"no frame for world {w!r}")
+            domain, pairs = gamma[w]
+            domain = frozenset(domain)
+            pairs = frozenset(pairs)
+            if not domain <= model.world_set:
+                raise SchemaError(f"frame of {w!r} leaves the world set")
+            _check_strict_order(pairs, domain, f"order at {w!r}")
+            frames[w] = (domain, pairs)
+        self._assign(model, frames)
+
+
+def universal_order(model: Model, order) -> RelationalModelV:
+    """The relational model whose every world has the whole world set under ``order``."""
+    return RelationalModelV(model, {w: (model.world_set, order) for w in model.worlds})
+
+
+def _conditional_relational(frame: Tuple[WorldSet, OrderPairs], phi: WorldSet, psi: WorldSet) -> bool:
+    # every antecedent world sees, at or below itself, an antecedent world
+    # below which the antecedent forces the consequent
+    domain, pairs = frame
+
+    def at_or_below(a: str, b: str) -> bool:
+        return a == b or (a, b) in pairs
+
+    for u in domain:
+        if u not in phi:
+            continue
+        witnessed = any(
+            v in phi
+            and at_or_below(v, u)
+            and all(z not in phi or z in psi for z in domain if at_or_below(z, v))
+            for v in domain
+        )
+        if not witnessed:
+            return False
+    return True
+
+
+def truth_set_relational(m: RelationalModelV, f: Formula) -> WorldSet:
+    """The worlds where a ``|>``-dialect formula holds, ``phi |> psi`` decided per world from its frame."""
+
+    def corner(g: Formula, walk) -> WorldSet:
+        if type(g) is not CondCorner:
+            raise ValueError(f"not a |>-dialect formula: {g!r}")
+        phi, psi = walk(g.left), walk(g.right)
+        return frozenset(w for w in m.model.worlds if _conditional_relational(m.gamma[w], phi, psi))
+
+    return set_walk(m.model.world_set, m.model.extent, corner)(f)
 
 
 # --- the CLI in this process ------------------------------------------------

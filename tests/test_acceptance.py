@@ -21,24 +21,13 @@ from conwon.fixtures import (
     VALID_PROOF,
 )
 from conwon.formula import Iff, is_flat, parse_formula, render
-from conwon.lewis import (
-    RelationalModelV,
-    context_to_partition,
-    eval_v,
-    flat_equivalence_check,
-    partition_to_context,
-)
+from conwon.lewis import context_to_partition, flat_equivalence_check, partition_to_context
 from conwon.models import Model, SequenceContext, core, load_context, load_model
 from conwon.proofs import check_proof, load_proof, soundness_sweep
 from conwon.reduction import sigma
-from conwon.semantics import (
-    SearchBounds,
-    evaluate,
-    find_countermodel,
-    is_valid_up_to,
-)
+from conwon.semantics import SearchBounds, evaluate, find_countermodel
 from conftest import (disagreement, e_mask, formula_battery, invoke, iter_contexts, ordered_partitions,
-                      random_formula)
+                      random_formula, truth_set_relational, universal_order)
 
 
 @pytest.fixture
@@ -107,10 +96,9 @@ def test_criterion_4_divergence(announce):
     conwon_side = parse_formula("E (p & q) -> [p][q](p & q)")
     no_counter = find_countermodel(conwon_side, SearchBounds(3, 5)) is None
     model = Model(("w1", "w2"), {"p": fs("w1"), "q": fs("w1", "w2")})
-    order = frozenset({("w2", "w1")})
-    relational = RelationalModelV(model, {w: (model.world_set, order) for w in model.worlds})
-    v_false = not eval_v(
-        relational, "w1", parse_formula("E (p & q) -> (p |> (q |> (p & q)))", dialect="v")
+    relational = universal_order(model, {("w2", "w1")})
+    v_false = "w1" not in truth_set_relational(
+        relational, parse_formula("E (p & q) -> (p |> (q |> (p & q)))", dialect="v")
     )
     announce(4, "divergence: conwon side valid at (3,5), v side false on the 2-world order",
              no_counter and v_false)
@@ -141,7 +129,7 @@ def test_criterion_6_lemma_suites(announce):
         ("[p]<q>r", "E p -> ((E (p & q) & <p & q>r) | (~E (p & q) & E (q & r)))"),
     ]
     validities_ok = all(
-        is_valid_up_to(Iff(parse_formula(l), parse_formula(r)), bounds)
+        find_countermodel(Iff(parse_formula(l), parse_formula(r)), bounds) is None
         for l, r in validity_pairs
     )
 

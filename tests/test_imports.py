@@ -20,19 +20,17 @@ from conwon.cli import EXAMPLE_NAMES
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-# ``conwon.__all__`` as it was when the package imported every module eagerly
+# ``conwon.__all__``: the names of the eager-import era, less those removed since
 PUBLIC_NAMES = [
     "And", "Atom", "CondBox", "CondCorner", "ContextualizedPointedModel", "DialectError",
     "Falsum", "Formula", "Model", "Not", "OrderedDefaultSet", "ParseError",
-    "PseudoSphereModelV", "RelationalModelV", "RewriteError", "SchemaError", "SearchBounds",
-    "SequenceContext", "SphereModelV", "UniversalRelationalModelV", "check_proof", "classify",
-    "context_to_partition", "core", "eval_v", "evaluate", "expected", "extension",
-    "find_countermodel", "flat_equivalence_check", "formula", "hierarchy", "is_closed",
-    "is_flat", "is_propositional", "is_satisfiable_up_to", "is_valid_up_to", "lewis",
-    "load_context", "load_model", "load_proof", "match_schema", "modal_depth", "models",
-    "parse_formula", "partition_to_context", "proofs", "reduction", "render", "rewrite_step",
-    "satisfying_witness", "semantics", "sigma", "soundness_sweep", "theta", "translate_flat",
-    "universal_to_sphere", "update",
+    "PseudoSphereModelV", "RewriteError", "SchemaError", "SearchBounds", "SequenceContext",
+    "check_proof", "classify", "context_to_partition", "core", "eval_v", "evaluate",
+    "expected", "extension", "find_countermodel", "flat_equivalence_check", "formula",
+    "hierarchy", "is_closed", "is_flat", "is_propositional", "lewis", "load_context",
+    "load_model", "load_proof", "match_schema", "modal_depth", "models", "parse_formula",
+    "partition_to_context", "proofs", "reduction", "render", "rewrite_step", "semantics",
+    "sigma", "soundness_sweep", "theta", "translate_flat", "update",
 ]
 
 

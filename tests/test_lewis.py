@@ -8,19 +8,17 @@ from conwon.formula import (And, Atom, CondBox, CondCorner, Not, atoms, dialect_
                             modal_depth, parse_formula, render, translate_flat)
 from conwon.lewis import (
     PseudoSphereModelV,
-    RelationalModelV,
-    SphereModelV,
-    UniversalRelationalModelV,
     context_to_partition,
     eval_v,
     flat_equivalence_check,
     partition_to_context,
     satisfying_witness_v,
-    universal_to_sphere,
+    truth_set_v,
 )
 from conwon.models import Model, SchemaError
-from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, satisfying_witness
-from conftest import formula_battery, iter_pseudo_sphere_models, ordered_partitions, random_formula
+from conwon.semantics import CompiledFormula, EvaluationError, SearchBounds, eval_cpm, find_countermodel
+from conftest import (RelationalModelV, formula_battery, iter_pseudo_sphere_models, ordered_partitions,
+                      random_formula, truth_set_relational, universal_order)
 
 
 def pv(text):
@@ -43,19 +41,16 @@ def test_divergence_fact():
     # the conwon side is valid in bounds, the v side fails on a
     # two-world relational model
     conwon_side = parse_formula("E (p & q) -> [p][q](p & q)")
-    from conwon.semantics import find_countermodel
-
     assert find_countermodel(conwon_side, SearchBounds(2, 3)) is None
     model = Model(("w1", "w2"), {"p": fs("w1"), "q": fs("w1", "w2")})
-    order = frozenset({("w2", "w1")})
-    relational = RelationalModelV(model, {w: (model.world_set, order) for w in model.worlds})
+    relational = universal_order(model, {("w2", "w1")})
     v_side = pv("E (p & q) -> (p |> (q |> (p & q)))")
-    assert eval_v(relational, "w1", v_side) is False
+    assert "w1" not in truth_set_relational(relational, v_side)
     # the antecedent of the implication does hold there
-    assert eval_v(relational, "w1", pv("E (p & q)"))
+    assert "w1" in truth_set_relational(relational, pv("E (p & q)"))
 
 
-# --- the four model classes agree ------------------------------------------
+# --- the pseudo-sphere clause against the relational reference -------------
 
 
 def _order_from_blocks(blocks):
@@ -67,36 +62,26 @@ def _order_from_blocks(blocks):
 
 
 def test_four_semantics_agree_exhaustively():
-    worlds = ("w1", "w2", "w3")
-    subsets = _subsets(worlds)
+    # every ordered partition of 1-3 worlds, read as pseudo-spheres and as
+    # the relational model of its order, gives every formula the same truth set
     formulas = [
         pv("p |> q"),
         pv("~(p |> ~q) & (true |> p)"),
         pv("(p |> q) -> ((p & q) |> q)"),
+        pv("(p |> q) |> (q |> p)"),
     ]
-    rng = random.Random(41)
-    valuations = [
-        {"p": rng.choice(subsets), "q": rng.choice(subsets)} for _ in range(12)
-    ]
-    for blocks in ordered_partitions(worlds):
-        order = _order_from_blocks(blocks)
-        for valuation in valuations:
-            model = Model(worlds, valuation)
-            sphere = SphereModelV(model, blocks)
-            pseudo = PseudoSphereModelV(model, blocks)
-            universal = UniversalRelationalModelV(model, order)
-            relational = RelationalModelV(
-                model, {w: (model.world_set, order) for w in worlds}
-            )
-            for f in formulas:
-                for w in worlds:
-                    vals = {
-                        eval_v(sphere, w, f),
-                        eval_v(pseudo, w, f),
-                        eval_v(universal, w, f),
-                        eval_v(relational, w, f),
-                    }
-                    assert len(vals) == 1, (blocks, valuation, f, w)
+    for n in (1, 2, 3):
+        worlds = tuple(f"w{i + 1}" for i in range(n))
+        subsets = _subsets(worlds)
+        rng = random.Random(41)
+        valuations = [{"p": rng.choice(subsets), "q": rng.choice(subsets)} for _ in range(12)]
+        for blocks in ordered_partitions(worlds):
+            for valuation in valuations:
+                model = Model(worlds, valuation)
+                pseudo = PseudoSphereModelV(model, blocks)
+                relational = universal_order(model, _order_from_blocks(blocks))
+                for f in formulas:
+                    assert truth_set_v(pseudo, f) == truth_set_relational(relational, f), (blocks, valuation, f)
 
 
 def test_empty_blocks_do_not_matter():
@@ -116,21 +101,6 @@ def test_empty_blocks_do_not_matter():
 
 
 # --- transformations ------------------------------------------------------
-
-
-def test_universal_to_sphere_example():
-    model = Model(("w1", "w2"), {"p": fs("w1"), "q": fs("w1", "w2")})
-    m = UniversalRelationalModelV(model, frozenset({("w2", "w1")}))
-    assert universal_to_sphere(m).blocks == (fs("w2"), fs("w1"))
-
-
-def test_universal_to_sphere_round_trip():
-    for n in range(1, 5):
-        worlds = tuple(f"w{i + 1}" for i in range(n))
-        model = Model(worlds, {})
-        for blocks in ordered_partitions(worlds):
-            m = UniversalRelationalModelV(model, _order_from_blocks(blocks))
-            assert universal_to_sphere(m).blocks == blocks
 
 
 def test_partition_to_context_suffix_unions():
@@ -187,7 +157,7 @@ def test_context_to_partition_requires_full_first_entry():
 def test_block_validation():
     model = Model(("w1", "w2"), {})
     with pytest.raises(SchemaError, match="empty"):
-        SphereModelV(model, (fs("w1"), fs(), fs("w2")))
+        partition_to_context((fs("w1"), fs(), fs("w2")))
     with pytest.raises(SchemaError, match="overlap"):
         PseudoSphereModelV(model, (fs("w1"), fs("w1", "w2")))
     with pytest.raises(SchemaError, match="cover"):
@@ -197,10 +167,14 @@ def test_block_validation():
 def test_relational_order_validation():
     model = Model(("w1", "w2", "w3"), {})
     bad = frozenset({("w1", "w2"), ("w2", "w3")})  # not transitive
-    with pytest.raises(SchemaError):
-        RelationalModelV(model, {w: (model.world_set, bad) for w in model.worlds})
-    with pytest.raises(SchemaError):
-        UniversalRelationalModelV(model, frozenset({("w1", "w1")}))
+    with pytest.raises(SchemaError, match="not transitive"):
+        universal_order(model, bad)
+    with pytest.raises(SchemaError, match="not irreflexive"):
+        universal_order(model, {("w1", "w1")})
+    with pytest.raises(SchemaError, match="not almost connected"):
+        universal_order(model, {("w1", "w2")})
+    with pytest.raises(SchemaError, match="leaves the world set"):
+        RelationalModelV(model, {w: (fs("w1", "w9"), frozenset()) for w in model.worlds})
 
 
 def test_eval_v_rejects_unknown_world():
@@ -247,26 +221,42 @@ def test_v_satisfiable_both_ways():
     assert satisfying_witness_v(pv("p & ~p"), EVERY_CHAIN_3) is None
 
 
+def _satisfiable_both_ways(f, models):
+    """(f holds somewhere, f fails somewhere) over every point of ``models``."""
+    holds = fails = False
+    for m in models:
+        truth = truth_set_v(m, f)
+        holds, fails = holds or bool(truth), fails or truth != m.model.world_set
+        if holds and fails:
+            break
+    return holds, fails
+
+
 def test_v_kernel_agrees_with_pseudo_sphere_enumeration():
-    # brute force: eval_v over every enumerated pseudo-sphere point at
-    # |W| <= 3, for nested |> formulas and their negations
+    # brute force: truth_set_v over every enumerated pseudo-sphere point at
+    # |W| <= 3, for nested |> formulas, a 2-atom battery and a 3-atom flat
+    # battery, each formula and its negation
     fixed = [pv(t) for t in [
         "(p |> q) |> r",
         "~((p |> q) |> (q |> p))",
         "((p |> q) & (q |> p)) -> ((p |> r) <-> (q |> r))",
         "(p | q) |> (~(p |> ~q) -> q)",
         "E (p & q) -> (p |> (q |> (p & q)))",
+        "((p |> q) & (p |> r)) -> (p |> (q & r))",
+        "(p |> r) & (q |> r) & ~((p | q) |> r)",
     ]]
     battery = formula_battery(41, 100, ("p", "q"), 3, dialect="v")
-    formulas = fixed + [f for f in battery if modal_depth(f) > 0]
-    for f in formulas:
-        for g in (f, Not(f)):
-            names = tuple(sorted(atoms(g))) or ("p",)
-            brute = any(
-                eval_v(m, w, g)
-                for m in iter_pseudo_sphere_models(names, 3)
-                for w in m.model.worlds
-            )
+    rng = random.Random(20261020)
+    flat = []
+    while len(flat) < 60:
+        f = random_formula(rng, ("p", "q", "r"), 1, size=4, dialect="v")
+        flat += [f] if is_flat(f) and modal_depth(f) == 1 and atoms(f) == {"p", "q", "r"} else []
+    models = {}
+    for f in fixed + [f for f in battery if modal_depth(f) > 0] + flat:
+        names = tuple(sorted(atoms(f))) or ("p",)
+        if names not in models:
+            models[names] = list(iter_pseudo_sphere_models(names, 3))
+        for g, brute in zip((f, Not(f)), _satisfiable_both_ways(f, models[names])):
             assert (satisfying_witness_v(g, EVERY_CHAIN_3) is not None) == brute, render(g)
 
 
@@ -305,7 +295,7 @@ def _two_search_report(f, bounds):
     """The report as one search per dialect gave it, each transport check run, as a tuple."""
     f_conwon = translate_flat(f, "conwon") if dialect_of(f) == "v" else f
     f_v = translate_flat(f_conwon, "v")
-    conwon_wit, v_wit = satisfying_witness(f_conwon, bounds), satisfying_witness_v(f_v, bounds)
+    conwon_wit, v_wit = find_countermodel(Not(f_conwon), bounds), satisfying_witness_v(f_v, bounds)
     checks = []
     if isinstance(f_conwon, CondBox) and is_propositional(f_conwon.consequent):
         if v_wit is not None:

@@ -8,13 +8,7 @@ import pytest
 
 from conwon.errors import FrozenRecord, Record
 from conwon.formula import parse_formula
-from conwon.lewis import (
-    EquivalenceReport,
-    PseudoSphereModelV,
-    RelationalModelV,
-    SphereModelV,
-    UniversalRelationalModelV,
-)
+from conwon.lewis import EquivalenceReport, PseudoSphereModelV, partition_to_context
 from conwon.models import Model, OrderedDefaultSet, SchemaError, SequenceContext, update
 from conwon.proofs import ProofStep, Schema, SweepReport, Verdict
 from conwon.semantics import (
@@ -23,6 +17,7 @@ from conwon.semantics import (
     EvaluationError,
     SearchBounds,
 )
+from conftest import RelationalModelV
 
 
 def fs(*xs):
@@ -46,8 +41,6 @@ RECORDS = {
     SearchBounds: ((2, 3, 50_000_000), {"max_worlds": 2, "max_context_len": 3}),
     RelationalModelV: ((MODEL, {w: (MODEL.world_set, frozenset()) for w in MODEL.worlds}),
                        {"model": MODEL, "gamma": {w: (MODEL.world_set, frozenset()) for w in MODEL.worlds}}),
-    UniversalRelationalModelV: ((MODEL, {("w1", "w2")}), {"model": MODEL, "order": {("w1", "w2")}}),
-    SphereModelV: ((MODEL, BLOCKS), {"model": MODEL, "blocks": BLOCKS}),
     PseudoSphereModelV: ((MODEL, BLOCKS), {"model": MODEL, "spheres": BLOCKS}),
     EquivalenceReport: (("p", True, True, None, None, []),
                         {"formula": "p", "conwon_satisfiable": True, "v_satisfiable": True}),
@@ -115,9 +108,10 @@ def test_equality_by_class_and_fields():
     assert SequenceContext([["w1"]]) == SequenceContext((fs("w1"),))
     assert SequenceContext([["w1"]]) != SequenceContext([["w2"]])
     assert SearchBounds(2, 3) != SearchBounds(2, 3, 7)
-    sphere, pseudo = SphereModelV(MODEL, BLOCKS), PseudoSphereModelV(MODEL, BLOCKS)
-    assert sphere.model == pseudo.model and sphere.blocks == pseudo.spheres
-    assert sphere != pseudo and pseudo != sphere
+    # equal fields, different classes
+    pseudo, twin = PseudoSphereModelV(MODEL, BLOCKS), type("Twin", (PseudoSphereModelV,), {})(MODEL, BLOCKS)
+    assert twin._fields() == pseudo._fields()
+    assert twin != pseudo and pseudo != twin
     assert SearchBounds(2, 3) != (2, 3, 50_000_000)
     assert Record.__eq__(SearchBounds(2, 3), (2, 3, 50_000_000)) is NotImplemented
 
@@ -171,8 +165,9 @@ def test_update_prepend_equals_a_validated_context():
     (lambda: SearchBounds(3, 0), EvaluationError, "bounds must be at least 1"),
     (lambda: RelationalModelV(MODEL, {"w1": (MODEL.world_set, frozenset())}), SchemaError,
      "no frame for world 'w2'"),
-    (lambda: UniversalRelationalModelV(MODEL, {("w1", "w1")}), SchemaError, "not irreflexive"),
-    (lambda: SphereModelV(MODEL, (fs("w1"), fs(), fs("w2"))), SchemaError, "block 1 is empty"),
+    (lambda: RelationalModelV(MODEL, {w: (MODEL.world_set, {("w1", "w1")}) for w in MODEL.worlds}), SchemaError,
+     "not irreflexive"),
+    (lambda: partition_to_context((fs("w1"), fs(), fs("w2"))), SchemaError, "block 1 is empty"),
     (lambda: PseudoSphereModelV(MODEL, (fs("w1"),)), SchemaError, "do not cover"),
 ])
 def test_validation_errors(build_bad, error, message):

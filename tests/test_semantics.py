@@ -40,10 +40,7 @@ from conwon.semantics import (
     evaluate,
     extension,
     find_countermodel,
-    is_satisfiable_up_to,
-    is_valid_up_to,
     mask_to_worlds,
-    satisfying_witness,
     search_points,
     truth_set,
     _blocks,
@@ -257,7 +254,7 @@ def test_find_countermodel_reports_genuine_countermodels():
 def test_validities_have_no_countermodel():
     bounds = SearchBounds(2, 3)
     for text in ["[p](q -> q)", "[p]q -> ~[p]~q | ~E p", "box (p | ~p)"]:
-        assert is_valid_up_to(parse_formula(text), bounds)
+        assert find_countermodel(parse_formula(text), bounds) is None
 
 
 # Old search batteries plus depth-4 chains; pairs share an atom set.
@@ -579,9 +576,10 @@ def test_one_node_per_distinct_subformula():
 
 def test_satisfiability_helpers():
     bounds = SearchBounds(2, 3)
-    assert is_satisfiable_up_to(parse_formula("p & ~q"), bounds)
-    assert not is_satisfiable_up_to(parse_formula("p & ~p"), bounds)
-    witness = satisfying_witness(parse_formula("[p]q & ~q"), bounds)
+    # satisfying f is falsifying ~f
+    assert find_countermodel(Not(parse_formula("p & ~q")), bounds) is not None
+    assert find_countermodel(Not(parse_formula("p & ~p")), bounds) is None
+    witness = find_countermodel(Not(parse_formula("[p]q & ~q")), bounds)
     assert witness is not None
     assert eval_cpm(witness, parse_formula("[p]q & ~q"))
 
