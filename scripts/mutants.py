@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SEMANTICS, MODELS, PROOFS = "src/conwon/semantics.py", "src/conwon/models.py", "src/conwon/proofs.py"
-LEWIS = "src/conwon/lewis.py"
+LEWIS, REDUCTION = "src/conwon/lewis.py", "src/conwon/reduction.py"
 
 MUTANTS = [
     ("kernel.expected-is-antecedent", SEMANTICS,
@@ -64,6 +64,15 @@ MUTANTS = [
     ("lewis.sphere-last-hit", LEWIS,
      "    for block in blocks:\n        hit = block & phi\n",
      "    for block in reversed(blocks):\n        hit = block & phi\n"),
+    ("proofs.unify-rebinds", PROOFS,
+     "if binding.setdefault(t.name, g) is not g:",
+     "if binding.setdefault(t.name, g) is None:"),
+    ("reduction.rewrite-unconditioned", REDUCTION,
+     '["a"], f, schema.conditions)',
+     '["a"], f)'),
+    ("reduction.lift-unguarded", REDUCTION,
+     "out = And(CondBox(ab, gamma), _implies(CondBox(ab, FALSUM), CondBox(b_not_g, FALSUM)))",
+     "out = CondBox(ab, gamma)"),
 ]
 
 

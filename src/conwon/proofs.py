@@ -2,15 +2,16 @@
 
 Axiom schemas are stored as parsed template formulas whose atoms are
 metavariables; instantiation is structural unification plus per-variable
-side conditions (propositional, closed).  Propositional reasoning is
-handled by a tautology rule: a step may be justified as a tautological
-consequence of earlier steps, decided by truth tables over skeletons in
-which maximal conditional subformulas are opaque atoms.  The table is
-bit-parallel: a formula's column of 2**n rows is one int, so a row costs
-a bit, not a walk, and a step whose rows x skeleton nodes exceed
-``MAX_TAUT_BITS`` (2**28) is refused with :class:`ProofError`.  v1 is the
-flat restriction of the comparative-possibility system: every step
-formula must be flat.
+side conditions (propositional, closed).  The rules read the shapes
+``a <-> b`` and ``a -> b`` of their steps with the same matcher.
+Propositional reasoning is handled by a tautology rule: a step may be
+justified as a tautological consequence of earlier steps, decided by
+truth tables over skeletons in which maximal conditional subformulas are
+opaque atoms.  The table is bit-parallel: a formula's column of 2**n rows
+is one int, so a row costs a bit, not a walk, and a step whose rows x
+skeleton nodes exceed ``MAX_TAUT_BITS`` (2**28) is refused with
+:class:`ProofError`.  v1 is the flat restriction of the
+comparative-possibility system: every step formula must be flat.
 """
 
 from __future__ import annotations
@@ -110,24 +111,36 @@ def _meets(f: Formula, condition: str) -> bool:
     return not f.depth if condition == PROP else f.closed
 
 
+def match_template(template: Formula, f: Formula,
+                   conditions: Optional[Mapping[str, str]] = None) -> Optional[Dict[str, Formula]]:
+    """The substitution for ``template``'s atoms that yields ``f``, or ``None``.
+
+    Every atom of the template is a metavariable, bound to one formula at
+    all its occurrences; a variable named in ``conditions`` must meet its
+    side condition (propositional or closed).
+    """
+    binding: Dict[str, Formula] = {}
+    stack = [(template, f)]
+    while stack:
+        t, g = stack.pop()
+        if type(t) is Atom:
+            if binding.setdefault(t.name, g) is not g:
+                return None
+        elif type(t) is not type(g):
+            return None
+        else:
+            stack += zip(t.children(), g.children())
+    if all(_meets(binding[v], c) for v, c in (conditions or {}).items() if v in binding):
+        return binding
+    return None
+
+
 def match_schema(schema: Schema, f: Formula) -> Optional[Dict[str, Formula]]:
     """Substitution instantiating the template to ``f``, or ``None``."""
-    binding: Dict[str, Formula] = {}
+    return match_template(schema.template, f, schema.conditions)
 
-    def unify(t: Formula, g: Formula) -> bool:
-        if isinstance(t, Atom):
-            if t.name in binding:
-                return binding[t.name] is g
-            binding[t.name] = g
-            return True
-        return type(t) is type(g) and all(map(unify, t.children(), g.children()))
 
-    if not unify(schema.template, f):
-        return None
-    for var, condition in schema.conditions.items():
-        if var in binding and not _meets(binding[var], condition):
-            return None
-    return binding
+IFF, IMPLIES = parse_formula("a <-> b"), parse_formula("a -> b")  # read by the rules and rewrite_step
 
 
 def instantiate(schema: Schema, subst: Mapping[str, Formula]) -> Formula:
@@ -217,28 +230,6 @@ class Verdict(Record):
         return "accepted" if self.ok else "; ".join(self.errors)
 
 
-def _match_iff(f: Formula) -> Optional[Tuple[Formula, Formula]]:
-    # desugared a <-> b is ~(a & ~b) & ~(b & ~a)
-    if not isinstance(f, And):
-        return None
-    halves = []
-    for part in (f.left, f.right):
-        if not (isinstance(part, Not) and isinstance(part.child, And)
-                and isinstance(part.child.right, Not)):
-            return None
-        halves.append((part.child.left, part.child.right.child))
-    (a, b), (b2, a2) = halves
-    if a == a2 and b == b2:
-        return a, b
-    return None
-
-
-def _match_implies(f: Formula) -> Optional[Tuple[Formula, Formula]]:
-    if isinstance(f, Not) and isinstance(f.child, And) and isinstance(f.child.right, Not):
-        return f.child.left, f.child.right.child
-    return None
-
-
 def _conditional_parts(f: Formula) -> Optional[Tuple[Formula, Formula]]:
     if isinstance(f, CondBox):
         return f.antecedent, f.consequent
@@ -249,17 +240,17 @@ def _conditional_parts(f: Formula) -> Optional[Tuple[Formula, Formula]]:
 
 def _check_replacement(step: ProofStep, premise: Formula, rule: str, dialect: str) -> Optional[str]:
     """Validate an rcea/rcec application; returns an error or None."""
-    prem = _match_iff(premise)
+    prem = match_template(IFF, premise)
     if prem is None:
         return f"{rule} premise is not a biconditional"
-    concl = _match_iff(step.formula)
+    concl = match_template(IFF, step.formula)
     if concl is None:
         return f"{rule} conclusion is not a biconditional"
-    left = _conditional_parts(concl[0])
-    right = _conditional_parts(concl[1])
-    if left is None or right is None or type(concl[0]) is not type(concl[1]):
+    left = _conditional_parts(concl["a"])
+    right = _conditional_parts(concl["b"])
+    if left is None or right is None or type(concl["a"]) is not type(concl["b"]):
         return f"{rule} conclusion must relate two conditionals"
-    a, b = prem
+    a, b = prem["a"], prem["b"]
     if rule == "rcea":
         shape_ok = left[0] == a and right[0] == b and left[1] == right[1]
     else:
@@ -335,8 +326,7 @@ def check_proof(steps: Sequence[ProofStep], system: str) -> Verdict:
                     fail(i, "modus ponens needs exactly two premises")
                     continue
                 minor, major = premises
-                parts = _match_implies(major)
-                if parts is None or parts[0] != minor or parts[1] != step.formula:
+                if match_template(IMPLIES, major) != {"a": minor, "b": step.formula}:
                     fail(i, "premises do not fit modus ponens")
             else:
                 if len(premises) != 1:
@@ -471,8 +461,8 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
     :data:`SYSTEMS` fails the condition; one that does, such as
     ``chi -> [alpha]chi``, raises ValueError.
     """
-    from .semantics import find_countermodel
-    from .lewis import satisfying_witness_v
+    from .semantics import find_countermodel, search_points
+    from .lewis import v_witness
 
     dialect = SYSTEMS[system]["dialect"]
     report = SweepReport(system)
@@ -482,7 +472,7 @@ def soundness_sweep(system: str, bounds) -> SweepReport:
         if dialect == "conwon":
             if witness := find_countermodel(instance, bounds):
                 report.failures.append(f"{schema.identifier}: falsified by {witness.to_json()}")
-        elif found := satisfying_witness_v(Not(instance), bounds):
+        elif found := v_witness(Not(instance), search_points(instance, bounds)):
             m, w = found
             report.failures.append(f"{schema.identifier}: false at {w} of {m.to_json()}")
     return report

@@ -3,8 +3,8 @@
 :func:`sigma` is one bottom-up pass: atoms and falsum stay, ``~`` and
 ``&`` map over their children, and ``[a]phi`` first flattens ``phi`` to a
 body B of modal depth <= 1, then removes the nesting in ``[a]B`` with the
-rewrites below.  :func:`rewrite_step` applies one of the single-step
-equivalences on its own.
+rewrites below.  :func:`rewrite_step` applies one of axioms 2a-2d on its
+own, as the schemas of ``proofs.CONWON_AXIOMS`` write them.
 
 Proof sketches.  ``[a]f`` holds at (M, X, w) iff f holds at (M, a.X, u)
 for every expected state u of a.X; the expected set of a context is its
@@ -16,6 +16,8 @@ last nonempty running intersection.  A closed formula (conditionals under
   expected set.
 * 2b, ``[a](P | K) <-> [a]P | [a]K`` for closed K: K has one value at
   a.X; if true both sides hold, if false both reduce to ``[a]P``.
+  The axiom's K is the right disjunct, so :func:`rewrite_step` refuses
+  ``[a](K | P)`` where P is not closed.
 * Closed body, ``[a]K <-> (E a -> K[C := [a]C])`` for closed K, C ranging
   over K's top conditionals.  a.X begins with the default |a|, so its
   expected set is empty iff a holds nowhere, i.e. iff ``~E a``; then both
@@ -37,8 +39,10 @@ last nonempty running intersection.  A closed formula (conditionals under
   (2) ``~E x`` is ``[x]false`` once ``~~`` cancels; (3) ``A(b -> g)`` is
   ``[b & ~g]false``, and ``[b & ~false]false`` is ``[b]false``, since a
   conditional reads its antecedent only through its extension.
-* 2d, the dual of 2c for ``[a]<b>g``, is used by :func:`rewrite_step`
-  only; :func:`sigma` meets duals as negated conditionals of a closed body.
+* 2d, the dual of 2c for ``[a]<b>g``, that is ``[a]~[b]~g``, is used by
+  :func:`rewrite_step` only; :func:`sigma` meets duals as negated
+  conditionals of a closed body.  ``[a]~[b]h`` with h not a negation is
+  no instance of it, so :func:`rewrite_step` refuses it.
 
 Any other body is a boolean mix of propositional and closed parts.  It
 is grouped into clauses P | K (P propositional, K closed, either absent),
@@ -46,9 +50,9 @@ distributing only where a disjunction has a mixed side, and each clause
 is rewritten by 2b and the closed-body case.
 
 :func:`sigma` builds these shapes, 2c in the form above, with a negation
-that cancels ``~~x`` to x (:func:`rewrite_step` prints the axiom shapes
-exactly).  Both hold at the same points, in bodies as in antecedents, so
-each output is its shape up to ``~~``.  An or,
+that cancels ``~~x`` to x (:func:`rewrite_step` returns the axioms'
+right sides exactly).  Both hold at the same points, in bodies as in
+antecedents, so each output is its shape up to ``~~``.  An or,
 ``~(~a & ~b)`` less its cancelled pairs, still prints at least a's and b's
 nodes, so a clause's recorded size stays a lower bound.  A ``~`` whose child
 comes back unchanged is kept, so :func:`sigma` is the identity on flat input.
@@ -59,18 +63,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
-from .formula import (
-    FALSUM,
-    And,
-    CondBox,
-    CondDia,
-    EveryWorld,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    SomeWorld,
-)
+from .formula import FALSUM, And, CondBox, Formula, Not
 
 MAX_SIGMA_NODES = 1_000_000
 """Cap on the tree size of any formula :func:`sigma` builds: the number of
@@ -79,18 +72,6 @@ nodes ``render`` would print.  Going over it raises :class:`RewriteError`."""
 
 class RewriteError(InputError):
     pass
-
-
-def _match_or(f: Formula) -> Optional[Tuple[Formula, Formula]]:
-    """Recognize the desugared disjunction shape ~(~a & ~b)."""
-    if (
-        isinstance(f, Not)
-        and isinstance(f.child, And)
-        and isinstance(f.child.left, Not)
-        and isinstance(f.child.right, Not)
-    ):
-        return f.child.left.child, f.child.right.child
-    return None
 
 
 def _neg(f: Formula) -> Formula:
@@ -110,55 +91,24 @@ def _some(alpha: Formula) -> Formula:
     return _neg(CondBox(alpha, FALSUM))
 
 
-def _box_over_box(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
-    """[a][b]g  <->  Ea -> ((E(a&b) & [a&b]g) | (~E(a&b) & A(b->g)))."""
-    ab = And(alpha, beta)
-    return Implies(SomeWorld(alpha), Or(And(SomeWorld(ab), CondBox(ab, gamma)),
-                                        And(Not(SomeWorld(ab)), EveryWorld(Implies(beta, gamma)))))
-
-
-def _box_over_dia(alpha: Formula, beta: Formula, gamma: Formula) -> Formula:
-    """[a]<b>g  <->  Ea -> ((E(a&b) & <a&b>g) | (~E(a&b) & E(b&g)))."""
-    ab = And(alpha, beta)
-    return Implies(
-        SomeWorld(alpha),
-        Or(
-            And(SomeWorld(ab), CondDia(ab, gamma)),
-            And(Not(SomeWorld(ab)), SomeWorld(And(beta, gamma))),
-        ),
-    )
-
-
 def rewrite_step(f: Formula) -> Formula:
-    """Apply exactly one partial-reduction equivalence to ``[a] body``.
+    """Rewrite ``[a] body`` by the first of axioms 2a, 2b, 2c, 2d whose left side it instantiates.
 
-    The four forms, tried in order: conjunction splits; disjunction with
-    a closed disjunct splits; a nested conditional or its dual expands
-    into flat modalities.
+    Each axiom ``L <-> R`` of ``proofs.CONWON_AXIOMS`` is split at its
+    ``<->``; ``f`` is matched against L under the axiom's side conditions,
+    and R under that substitution is returned.  So ``f <-> rewrite_step(f)``
+    is an instance of that axiom, and a one-step proof citing it.
     """
+    from .proofs import IFF, SCHEMAS, instantiate, match_template
+
     if not isinstance(f, CondBox):
         raise RewriteError("rewrite_step expects a conditional")
-    alpha, body = f.antecedent, f.consequent
-    if body.depth > 1:
+    if f.consequent.depth > 1:
         raise RewriteError("conditional body must have modal depth at most 1")
-    if isinstance(body, And):
-        return And(CondBox(alpha, body.left), CondBox(alpha, body.right))
-    disjuncts = _match_or(body)
-    if disjuncts is not None:
-        a, b = disjuncts
-        if b.closed or a.closed:
-            return Or(CondBox(alpha, a), CondBox(alpha, b))
-        raise RewriteError("disjunction splits only past a closed disjunct")
-    if isinstance(body, CondBox):
-        if body.consequent.depth:
-            raise RewriteError("nested conditional consequent must be propositional")
-        return _box_over_box(alpha, body.antecedent, body.consequent)
-    if isinstance(body, Not) and isinstance(body.child, CondBox):
-        inner = body.child
-        gamma = inner.consequent.child if isinstance(inner.consequent, Not) else Not(inner.consequent)
-        if gamma.depth:
-            raise RewriteError("nested dual consequent must be propositional")
-        return _box_over_dia(alpha, inner.antecedent, gamma)
+    for schema in map(SCHEMAS.get, ("conwon.2a", "conwon.2b", "conwon.2c", "conwon.2d")):
+        binding = match_template(match_template(IFF, schema.template)["a"], f, schema.conditions)
+        if binding is not None:
+            return match_template(IFF, instantiate(schema, binding))["b"]
     raise RewriteError("no applicable rewrite")
 
 

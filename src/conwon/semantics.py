@@ -127,16 +127,15 @@ class ContextualizedPointedModel(FrozenRecord):
 class ConditionalStep(Record):
     """One conditional evaluation: what was generated, updated, expected."""
 
-    __slots__ = ("antecedent", "generated", "levels", "sequence", "expected", "verdicts")
+    __slots__ = ("antecedent", "generated", "levels", "sequence", "expected")
 
     def __init__(self, antecedent: str, generated: FrozenSet[str],
                  levels: Optional[Tuple[Tuple[str, ...], ...]],  # set-form hierarchy by names
-                 sequence: Optional[Tuple[FrozenSet[str], ...]], expected: FrozenSet[str],
-                 verdicts: Optional[Dict[str, bool]] = None):
-        self._assign(antecedent, generated, levels, sequence, expected, {} if verdicts is None else verdicts)
+                 sequence: Optional[Tuple[FrozenSet[str], ...]], expected: FrozenSet[str]):
+        self._assign(antecedent, generated, levels, sequence, expected)
 
     def to_json(self) -> dict:
-        """The step as traces print it in JSON; ``verdicts`` is left out."""
+        """The step as traces print it in JSON."""
         out = {"antecedent": self.antecedent, "generated": sorted(self.generated),
                "expected": sorted(self.expected)}
         if self.levels is not None:
@@ -169,11 +168,8 @@ def truth_set(model: Model, context: Optional[Context], f: Formula,
         if trace is not None:
             ordered = isinstance(updated, OrderedDefaultSet)
             levels = tuple(tuple(sorted(level)) for level in hierarchy(updated)) if ordered else None
-            step = ConditionalStep(label, generated, levels, None if ordered else updated.sequence, exp)
-            trace.append(step)
+            trace.append(ConditionalStep(label, generated, levels, None if ordered else updated.sequence, exp))
         sub = truth_set(model, updated, g.consequent, trace)
-        if trace is not None:
-            step.verdicts.update((u, u in sub) for u in sorted(exp))
         return model.world_set if exp <= sub else frozenset()
 
     return set_walk(model.world_set, model.extent, box)(f)
@@ -219,7 +215,7 @@ BLOCK_BITS = 2 ** 14
 # (16 MB) are.
 CACHE_BYTES = 2 ** 23
 
-MAX_ENUMERATION = 50_000_000  # the default cap on the (valuation, chain) pairs of one search
+MAX_ENUMERATION = 50_000_000  # the cap on the (valuation, chain) pairs of one search
 
 
 def update_chain(alpha: int, chain: Chain, full: int) -> Chain:
@@ -542,12 +538,12 @@ def mask_to_worlds(mask: int, worlds: Tuple[str, ...]) -> FrozenSet[str]:
 
 
 class SearchBounds(FrozenRecord):
-    __slots__ = ("max_worlds", "max_context_len", "max_enumeration")
+    __slots__ = ("max_worlds", "max_context_len")
 
-    def __init__(self, max_worlds: int, max_context_len: int, max_enumeration: int = MAX_ENUMERATION):
+    def __init__(self, max_worlds: int, max_context_len: int):
         if max_worlds < 1 or max_context_len < 1:
             raise EvaluationError("bounds must be at least 1")
-        self._assign(max_worlds, max_context_len, max_enumeration)
+        self._assign(max_worlds, max_context_len)
 
 
 def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPointedModel]:
@@ -560,8 +556,8 @@ def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPo
     lowest world where ``f`` is false, with the chain as its context, (W) if
     empty.  Satisfying g is falsifying ``~g``, and f agrees with g iff
     ``f <-> g`` is never false.  The witness is not re-checked: callers go
-    through :func:`find_countermodel` or ``lewis.satisfying_witness_v``.
-    Raises EvaluationError when the pairs exceed ``bounds.max_enumeration``.
+    through :func:`find_countermodel` or ``lewis.v_witness``.
+    Raises EvaluationError when the pairs exceed :data:`MAX_ENUMERATION`.
     """
     compiled = CompiledFormula(f)
     names = compiled.atoms or ("p",)
@@ -569,9 +565,9 @@ def search_points(f: Formula, bounds: SearchBounds) -> Optional[ContextualizedPo
     total = 0
     for n in range(1, min(bounds.max_worlds, 1 << len(names)) + 1):
         total += comb(1 << len(names), n) * chain_count(n, max_len)
-        if total > bounds.max_enumeration:
+        if total > MAX_ENUMERATION:
             raise EvaluationError(f"enumeration of at least {total} (valuation, chain) pairs "
-                                  f"exceeds the cap of {bounds.max_enumeration}")
+                                  f"exceeds the cap of {MAX_ENUMERATION}")
     for n, ev, chain in _blocks(compiled, names, max_len, bounds.max_worlds):
         false_at = ev.full & ~ev.truth_mask(compiled.root, chain)
         if false_at:  # its lowest bit: the block's first pair in search order, at its lowest world

@@ -281,14 +281,18 @@ def test_flat_equivalence_harness():
     assert all(check.endswith("verified") for check in report.transport_checks)
 
 
-def test_flat_equivalence_keeps_the_enumeration_cap():
+def test_flat_equivalence_keeps_the_enumeration_cap(monkeypatch):
     # [p]q at (3, 1): 50 (valuation, chain) pairs, searched once for both sides
+    from conwon import semantics
+
     f = parse_formula("[p]q")
-    assert flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=50)).agrees
+    monkeypatch.setattr(semantics, "MAX_ENUMERATION", 50)
+    assert flat_equivalence_check(f, SearchBounds(3, 1)).agrees
+    monkeypatch.setattr(semantics, "MAX_ENUMERATION", 49)
     with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
-        flat_equivalence_check(f, SearchBounds(3, 1, max_enumeration=49))
+        flat_equivalence_check(f, SearchBounds(3, 1))
     with pytest.raises(EvaluationError, match="at least 50 .* exceeds the cap of 49"):
-        satisfying_witness_v(parse_formula("p |> q", dialect="v"), SearchBounds(3, 1, max_enumeration=49))
+        satisfying_witness_v(parse_formula("p |> q", dialect="v"), SearchBounds(3, 1))
 
 
 def _two_search_report(f, bounds):

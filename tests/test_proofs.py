@@ -283,11 +283,14 @@ def test_generic_instances_hold(bounds):
     assert find_countermodel(pf("[a](x | y) <-> ([a]x | [a]y)"), SearchBounds(*bounds)) is not None
 
 
-def test_sweeps_keep_the_enumeration_cap():
+def test_sweeps_keep_the_enumeration_cap(monkeypatch):
     # the V side searches the caller's bounds, under its cap as the conwon side does
+    from conwon import semantics
+
+    monkeypatch.setattr(semantics, "MAX_ENUMERATION", 10)
     for system in ("conwon", "v1"):
         with pytest.raises(EvaluationError, match="exceeds the cap of 10"):
-            soundness_sweep(system, SearchBounds(2, 5, max_enumeration=10))
+            soundness_sweep(system, SearchBounds(2, 5))
 
 
 def _reference_plan(compiled, node):
@@ -341,6 +344,18 @@ def test_sweeps_walk_each_template_once(monkeypatch):
             assert all(order.get(a, -1) < order[i] and (op == "box" or order.get(b, -1) < order[i])
                        for i, op, a, b in compiled.plan(node))
     assert kinds == {"not", "and", "box", "corner"}
+
+
+def test_v1_sweep_searches_each_instance_itself(monkeypatch):
+    # a v1 witness falsifies the instance, so the search lowers the instance, not ~~instance
+    import conwon.semantics
+
+    searched, real_search = [], conwon.semantics.search_points
+    monkeypatch.setattr(conwon.semantics, "search_points",
+                        lambda f, bounds: searched.append(f) or real_search(f, bounds))
+    assert soundness_sweep("v1", SearchBounds(2, 5)).ok
+    assert searched == [instantiate(schema, generic_substitution(schema)) for schema in V_AXIOMS]
+    assert [len(CompiledFormula(f).nodes) for f in searched[:3]] == [2, 11, 12]
 
 
 @pytest.mark.parametrize("system", ["conwon", "v1"])

@@ -35,10 +35,10 @@ RECORDS = {
     SequenceContext: (((fs("w1"),),), {"sequence": (fs("w1"),)}),
     ContextualizedPointedModel: ((MODEL, SequenceContext([["w1"]]), "w2"),
                                  {"model": MODEL, "context": SequenceContext([["w1"]]), "world": "w2"}),
-    ConditionalStep: (("p", fs("w1"), None, (fs("w1"),), fs("w1"), {}),
+    ConditionalStep: (("p", fs("w1"), None, (fs("w1"),), fs("w1")),
                       {"antecedent": "p", "generated": fs("w1"), "levels": None,
                        "sequence": (fs("w1"),), "expected": fs("w1")}),
-    SearchBounds: ((2, 3, 50_000_000), {"max_worlds": 2, "max_context_len": 3}),
+    SearchBounds: ((2, 3), {"max_worlds": 2, "max_context_len": 3}),
     RelationalModelV: ((MODEL, {w: (MODEL.world_set, frozenset()) for w in MODEL.worlds}),
                        {"model": MODEL, "gamma": {w: (MODEL.world_set, frozenset()) for w in MODEL.worlds}}),
     PseudoSphereModelV: ((MODEL, BLOCKS), {"model": MODEL, "spheres": BLOCKS}),
@@ -107,13 +107,13 @@ def test_frozen_records_refuse_writes(cls):
 def test_equality_by_class_and_fields():
     assert SequenceContext([["w1"]]) == SequenceContext((fs("w1"),))
     assert SequenceContext([["w1"]]) != SequenceContext([["w2"]])
-    assert SearchBounds(2, 3) != SearchBounds(2, 3, 7)
+    assert SearchBounds(2, 3) != SearchBounds(3, 2)
     # equal fields, different classes
     pseudo, twin = PseudoSphereModelV(MODEL, BLOCKS), type("Twin", (PseudoSphereModelV,), {})(MODEL, BLOCKS)
     assert twin._fields() == pseudo._fields()
     assert twin != pseudo and pseudo != twin
-    assert SearchBounds(2, 3) != (2, 3, 50_000_000)
-    assert Record.__eq__(SearchBounds(2, 3), (2, 3, 50_000_000)) is NotImplemented
+    assert SearchBounds(2, 3) != (2, 3)
+    assert Record.__eq__(SearchBounds(2, 3), (2, 3)) is NotImplemented
 
 
 def test_mutable_reports_get_fresh_lists():
@@ -123,7 +123,6 @@ def test_mutable_reports_get_fresh_lists():
     assert b.errors == [] and a != b
     assert SweepReport("v1").failures is not SweepReport("v1").failures
     assert EquivalenceReport("p", True, True).transport_checks == []
-    assert ConditionalStep("p", fs(), None, None, fs()).verdicts == {}
 
 
 def test_model_world_set_is_computed_once_and_not_a_field():

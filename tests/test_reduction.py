@@ -4,6 +4,8 @@ import pytest
 
 from conwon.formula import (
     And,
+    CondBox,
+    CondDia,
     Iff,
     Not,
     Or,
@@ -14,9 +16,10 @@ from conwon.formula import (
     subformulas,
 )
 from conwon import reduction
+from conwon.proofs import ProofStep, check_proof
 from conwon.reduction import RewriteError, rewrite_step, sigma
 from conwon.semantics import SearchBounds, find_countermodel
-from conftest import disagreement, formula_battery, random_formula
+from conftest import disagreement, formula_battery, random_formula, random_prop
 
 
 def pf(text):
@@ -34,8 +37,9 @@ def test_rewrite_conjunction_splits():
 def test_rewrite_disjunction_with_closed_disjunct():
     out = rewrite_step(pf("[p](q | [q]r)"))
     assert out == Or(pf("[p]q"), pf("[p][q]r"))
-    out = rewrite_step(pf("[p]([q]r | q)"))
-    assert out == Or(pf("[p][q]r"), pf("[p]q"))
+    # 2b's closed disjunct is the right one: the commuted body is no instance
+    with pytest.raises(RewriteError, match="no applicable rewrite"):
+        rewrite_step(pf("[p]([q]r | q)"))
     with pytest.raises(RewriteError):
         rewrite_step(pf("[p](q | r)"))
 
@@ -50,6 +54,10 @@ def test_rewrite_nested_dual():
     out = rewrite_step(pf("[p]<q>r"))
     expected = pf("E p -> ((E (p & q) & <p & q>r) | (~E (p & q) & E (q & r)))")
     assert out == expected
+    # <q>~r is ~[q]~~r: 2d's gamma is ~r there, but [q]r has no gamma to bind
+    assert rewrite_step(pf("[p]<q>~r")) == pf("E p -> ((E (p & q) & <p & q>~r) | (~E (p & q) & E (q & ~r)))")
+    with pytest.raises(RewriteError, match="no applicable rewrite"):
+        rewrite_step(pf("[p]~[q]r"))
 
 
 def test_rewrite_steps_preserve_truth():
@@ -57,6 +65,50 @@ def test_rewrite_steps_preserve_truth():
         f = pf(text)
         g = rewrite_step(f)
         assert disagreement(f, g, 2, 3) is None
+
+
+def _box_body(rng, size):
+    """A formula of modal depth <= 1 over p, q, r, rich in the shapes 2a-2d read."""
+    kind = rng.randrange(8 if size > 0 else 1)
+    prop = random_prop(rng, ("p", "q", "r"), 1)
+    if kind == 0:
+        return prop
+    if kind < 4:
+        left, right = _box_body(rng, size - 1), _box_body(rng, size - 1)
+        return (Not(left), And(left, right), Or(left, right))[kind - 1]
+    antecedent, gamma = random_prop(rng, ("p", "q", "r"), 1), random_prop(rng, ("p", "q", "r"), 1)
+    return (CondBox(antecedent, gamma), CondDia(antecedent, gamma), Not(CondBox(antecedent, gamma)),
+            Or(prop, CondBox(antecedent, gamma)))[kind - 4]
+
+
+def _reduction_axiom(body):
+    """The axiom whose left side ``[a]body`` must instantiate, read off the body's top node."""
+    if type(body) is And:
+        return "conwon.2a"
+    if type(body) is CondBox:
+        return "conwon.2c"
+    return "conwon.2d" if type(body.child) is CondBox else "conwon.2b"
+
+
+def test_each_rewrite_is_one_axiom_step():
+    # f <-> rewrite_step(f) is accepted as an instance of the axiom its shape names,
+    # with no substitution given, and f and its rewrite agree at every bounded point
+    rng = random.Random(28)
+    cited, refused = set(), 0
+    for _ in range(300):
+        f = CondBox(random_prop(rng, ("p", "q", "r"), 1), _box_body(rng, 3))
+        try:
+            g = rewrite_step(f)
+        except RewriteError:
+            refused += 1
+            continue
+        name = _reduction_axiom(f.consequent)
+        verdict = check_proof([ProofStep(Iff(f, g), {"axiom": name})], "conwon")
+        assert verdict.ok, (render(f), name, verdict.message)
+        assert disagreement(f, g, 2, 3) is None, render(f)
+        cited.add(name)
+    assert cited == {"conwon.2a", "conwon.2b", "conwon.2c", "conwon.2d"}
+    assert 0 < refused < 300
 
 
 def test_rewrite_errors():

@@ -66,7 +66,6 @@ def test_tiger_trace():
     assert step.generated == fs("w1", "w2", "w4", "w6")
     assert step.levels == (("|a_g|",), ("D2",), ("D1", "D3"))
     assert step.expected == fs("w1")
-    assert step.verdicts == {"w1": True}
 
 
 def test_reagan_trace():
@@ -76,7 +75,7 @@ def test_reagan_trace():
     value = evaluate(model, context, "w1", parse_formula("[~r][r | a]r"), trace)
     assert value is False
     assert [step.expected for step in trace] == [fs("w3"), fs("w2")]
-    assert trace[1].verdicts == {"w2": False}
+    assert "w2" not in model.extent("r")  # r fails at the inner conditional's one expected state
 
 
 def test_nonmonotonicity():
@@ -236,7 +235,6 @@ def test_trace_lists_each_conditional_once_per_context(kind):
     assert len(trace) == 2 * depth
     assert [step.antecedent for step in trace] == ["p", "q"] * depth  # outer steps first
     assert all(len(step.expected) >= 3 for step in trace)
-    assert all(list(step.verdicts) == sorted(step.expected) for step in trace)
 
 
 # --- bounded search -------------------------------------------------------
