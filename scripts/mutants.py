@@ -73,6 +73,9 @@ MUTANTS = [
     ("reduction.lift-unguarded", REDUCTION,
      "out = And(CondBox(ab, gamma), _implies(CondBox(ab, FALSUM), CondBox(b_not_g, FALSUM)))",
      "out = CondBox(ab, gamma)"),
+    ("reduction.lift-constant-any-negation", REDUCTION,
+     "    while type(g) is Not:\n        g = g.child\n    return g is FALSUM\n",
+     "    return type(g) is Not or g is FALSUM\n"),
 ]
 
 

@@ -259,4 +259,5 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])  # so `from . import cli` reuses this module
     main()

@@ -133,8 +133,8 @@ class Formula:
         return self
 
     def children(self) -> tuple:
-        """The subformulas this node is built from, in order."""
-        return self.__reduce__()[1]
+        """The subformulas this node is built from, in order: none for atoms and falsum."""
+        return ()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
@@ -148,9 +148,6 @@ class Formula:
 
 class Atom(Formula):
     __slots__ = ("name",)
-
-    def children(self) -> tuple:
-        return ()
 
     def __new__(cls, name: str):
         key = (cls, name)
@@ -169,6 +166,9 @@ class Falsum(Formula):
 class Not(Formula):
     __slots__ = ("child",)
 
+    def children(self) -> tuple:
+        return (self.child,)
+
     def __new__(cls, child: Formula):
         key = (cls, child)
         ref = _INTERNED.get(key)
@@ -177,6 +177,9 @@ class Not(Formula):
 
 class And(Formula):
     __slots__ = ("left", "right")
+
+    def children(self) -> tuple:
+        return (self.left, self.right)
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
@@ -189,6 +192,9 @@ class CondBox(Formula):
     """Conditional box of the ``conwon`` dialect; antecedent propositional."""
 
     __slots__ = ("antecedent", "consequent")
+
+    def children(self) -> tuple:
+        return (self.antecedent, self.consequent)
 
     def __new__(cls, antecedent: Formula, consequent: Formula):
         key = (cls, antecedent, consequent)
@@ -205,6 +211,9 @@ class CondCorner(Formula):
     """Variably-strict conditional of the ``v`` dialect."""
 
     __slots__ = ("left", "right")
+
+    def children(self) -> tuple:
+        return (self.left, self.right)
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)

@@ -37,8 +37,16 @@ last nonempty running intersection.  A closed formula (conditionals under
   (1) where a&b holds nowhere the expected set of (a&b).X is empty, so
   ``[a&b]g`` holds vacuously and the body is ``[a&b]g & (E(a&b) | A(b -> g))``;
   (2) ``~E x`` is ``[x]false`` once ``~~`` cancels; (3) ``A(b -> g)`` is
-  ``[b & ~g]false``, and ``[b & ~false]false`` is ``[b]false``, since a
-  conditional reads its antecedent only through its extension.
+  ``[b & ~g]false``.
+* Context-free conditional, ``[b]g`` with g ``false`` under n ``~``: the
+  update b.X begins with |b|, so its expected set is empty iff b holds
+  nowhere, at every context X.  For even n g is false and ``[b]g`` holds
+  iff b holds nowhere; for odd n g is true and ``[b]g`` holds everywhere.
+  Either way its value at a.X is its value at X, so inside a closed body
+  ``[a]C`` is C itself under ``E a``, and :func:`sigma` keeps it as it is
+  (2c's body, with g constant, equals it at every point).  This covers the
+  ``[x]false`` of 2c's own body and of ``E``/``A``, which would otherwise be
+  lifted again at each level above, about 3.3x the printed size per level.
 * 2d, the dual of 2c for ``[a]<b>g``, that is ``[a]~[b]~g``, is used by
   :func:`rewrite_step` only; :func:`sigma` meets duals as negated
   conditionals of a closed body.  ``[a]~[b]h`` with h not a negation is
@@ -142,6 +150,13 @@ def _kind(body: Formula) -> str:
     return _PROP if not body.depth else _CLOSED if body.closed else _MIXED
 
 
+def _context_free(g: Formula) -> bool:
+    """Whether ``g`` is ``false`` under some number of ``~``, so that ``[b]g`` reads no context."""
+    while type(g) is Not:
+        g = g.child
+    return g is FALSUM
+
+
 def _or_opt(a: Optional[Formula], b: Optional[Formula]) -> Optional[Formula]:
     if a is None:
         return b
@@ -202,7 +217,8 @@ class _Flattener:
         return out
 
     def lift(self, alpha: Formula, k: Formula) -> Formula:
-        """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` as its lifted 2c body under ``E alpha``."""
+        """``k[C := [alpha]C]`` for closed k, each ``[alpha]C`` as its lifted 2c body under ``E alpha``,
+        or as C where C reads no context."""
         key = (alpha, k)
         out = self.lift_memo.get(key)
         if out is None:
@@ -210,9 +226,11 @@ class _Flattener:
                 out = _neg(self.lift(alpha, k.child))
             elif isinstance(k, And):
                 out = And(self.lift(alpha, k.left), self.lift(alpha, k.right))
+            elif _context_free(k.consequent):  # [b]false holds where b holds nowhere, [b]~false everywhere
+                out = k
             else:  # a conditional with a propositional consequent: [a&b]g & ([a&b]false -> A(b->g))
                 beta, gamma = k.antecedent, k.consequent
-                ab, b_not_g = And(alpha, beta), beta if gamma is FALSUM else And(beta, _neg(gamma))
+                ab, b_not_g = And(alpha, beta), And(beta, _neg(gamma))
                 out = And(CondBox(ab, gamma), _implies(CondBox(ab, FALSUM), CondBox(b_not_g, FALSUM)))
             out = self.lift_memo[key] = _capped(out)
         return out

@@ -75,7 +75,7 @@ from collections import OrderedDict, defaultdict
 from math import comb
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import FrozenRecord, InputError, Record
+from .errors import FrozenRecord, InputError
 from .formula import (
     And,
     Atom,
@@ -124,7 +124,7 @@ class ContextualizedPointedModel(FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
-class ConditionalStep(Record):
+class ConditionalStep(FrozenRecord):
     """One conditional evaluation: what was generated, updated, expected."""
 
     __slots__ = ("antecedent", "generated", "levels", "sequence", "expected")

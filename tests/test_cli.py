@@ -239,7 +239,7 @@ def test_reduce_reports_output_sizes():
     assert result.exit_code == 0
     payload = json.loads(result.output)
     flat = parse_formula(payload["flat"])
-    assert payload["printed_nodes"] == flat.size == 375
+    assert payload["printed_nodes"] == flat.size == 83
     assert payload["dag_nodes"] == len(set(subformulas(flat))) < flat.size
 
 
@@ -268,8 +268,18 @@ def test_reduce_depth9_chain_exit_0():
     assert json.loads(result.output)["modal_depth"] <= 1
 
 
+def test_reduce_depth11_chain_exit_0():
+    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x][y][z]a", "--output", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["modal_depth"] == 1
+    assert payload["printed_nodes"] == 405
+
+
 def test_reduce_over_the_cap_exit_2():
-    result = invoke(["reduce", "--formula", "[p][q][r][s][t][u][v][w][x][y][z]a"])
+    # a mixed body whose clause product is over the cap: 2^16 clauses of 16 disjuncts each
+    mixed = " | ".join(f"(a{i} & [b{i}]c{i})" for i in range(16))
+    result = invoke(["reduce", "--formula", f"[p]({mixed})"])
     assert result.exit_code == 2
     assert result.stderr.count("\n") == 1
     assert "exceeds the cap" in result.stderr

@@ -386,6 +386,16 @@ def test_nodes_are_immutable():
     assert f.left is CondBox(p, q)
 
 
+def test_children_are_the_formula_fields():
+    # each kind's own children() reads its slots directly; they are the fields that are formulas
+    nodes = [p, FALSUM, Not(p), And(p, q), CondBox(p, q), CondCorner(p, q)]
+    assert {type(f) for f in nodes} == {Atom, Falsum, Not, And, CondBox, CondCorner}
+    for f in nodes:
+        fields = tuple(getattr(f, name) for name in type(f).__slots__)
+        assert f.children() == tuple(x for x in fields if isinstance(x, Formula)), f
+    assert CondBox(p, q).children() == (p, q) and p.children() == FALSUM.children() == ()
+
+
 def test_copies_are_the_node_itself():
     f = parse_formula("[p](q | [q]r) -> E p")
     assert copy.copy(f) is f

@@ -146,6 +146,19 @@ def test_evaluator_subcommands_load_only_what_they_use(tmp_path, argv, loaded):
         assert out["loaded"] == loaded
 
 
+def test_run_as_main_imports_cli_once():
+    # `python -m conwon.cli` runs cli.py as __main__; the examples' `from . import cli` must reuse it
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "conwon.cli", "examples", "run", "tiger"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "conwon.fixtures" in imported
+    assert "conwon.cli" not in imported
+
+
 @pytest.mark.parametrize("argv", [["parse", "p"], ["reduce", "--formula", "[p][q]r"],
                                   ["falsify", "--formula", "[p]q", "--max-worlds", "2"]],
                          ids=lambda argv: argv[0])

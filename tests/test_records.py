@@ -50,8 +50,8 @@ RECORDS = {
     Verdict: ((True, "conwon", []), {"ok": True, "system": "conwon"}),
     SweepReport: (("conwon", 0, []), {"system": "conwon"}),
 }
-MUTABLE = {ConditionalStep, EquivalenceReport, Verdict, SweepReport}
-HASHABLE = {SequenceContext, SearchBounds}
+MUTABLE = {EquivalenceReport, Verdict, SweepReport}
+HASHABLE = {ConditionalStep, SequenceContext, SearchBounds}
 ids = [cls.__name__ for cls in RECORDS]
 
 

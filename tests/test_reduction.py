@@ -6,9 +6,12 @@ from conwon.formula import (
     And,
     CondBox,
     CondDia,
+    EveryWorld,
+    FALSUM,
     Iff,
     Not,
     Or,
+    SomeWorld,
     is_flat,
     modal_depth,
     parse_formula,
@@ -206,10 +209,34 @@ def test_sigma_depth4_battery_preserves_truth():
         assert disagreement(f, g, 3, 3) is None, render(f)
 
 
+def _nots(n, f):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def _context_free_body(rng, depth):
+    """A formula over p, q, r of modal depth at most ``depth``, rich in ``E``, ``A`` and ``[x]~^n false``."""
+    kind = rng.randrange(7 if depth > 0 else 1)
+    if kind == 0:
+        return random_prop(rng, ("p", "q", "r"), 1)
+    if kind < 3:
+        left, right = _context_free_body(rng, depth - 1), _context_free_body(rng, depth - 1)
+        return Not(left) if kind == 1 else And(left, right)
+    x = random_prop(rng, ("p", "q", "r"), 1)
+    if kind == 3:
+        return SomeWorld(x) if rng.random() < 0.5 else EveryWorld(x)
+    if kind == 4:
+        return CondBox(x, _nots(rng.randrange(4), FALSUM))
+    return CondBox(x, _context_free_body(rng, depth - 1))
+
+
 def test_sigma_lifted_2c_body_preserves_truth():
-    # the lifted body [a&b]g & ([a&b]false -> A(b->g)) leans on [a&b]g holding where a&b holds nowhere
+    # the lifted body [a&b]g & ([a&b]false -> A(b->g)) leans on [a&b]g holding where a&b holds nowhere,
+    # and a [b]~^n false under [a] stays as it is, as it reads no context
     for text in ["[p][q]false", "[p]~[q]false", "[p]E q", "[p]A q", "[p](E q & [q]false)",
-                 "[p][q][p]q", "[p][q]~[r]false", "[p][q][r]false"]:
+                 "[p][q][p]q", "[p][q]~[r]false", "[p][q][r]false",
+                 "[p][q]~~false", "[p][q]~false", "[p][q][r]~~~false", "[p](A q & E r)"]:
         assert disagreement(pf(text), sigma(pf(text)), 3, 3) is None, text
     rng = random.Random(303)
     battery = []
@@ -217,8 +244,22 @@ def test_sigma_lifted_2c_body_preserves_truth():
         f = random_formula(rng, ("p", "q", "r"), 3, size=6)
         if modal_depth(f) == 3:
             battery.append(f)
+    rng = random.Random(29)
+    while len(battery) < 60:
+        f = CondBox(random_prop(rng, ("p", "q", "r"), 1), _context_free_body(rng, 3))
+        if modal_depth(f) >= 3:
+            battery.append(f)
     for f in battery:
         assert disagreement(f, sigma(f), 3, 3) is None, render(f)
+
+
+def test_sigma_keeps_context_free_conditionals():
+    # under [a], [b]~^n false is itself: it holds iff b holds nowhere (n even) or everywhere (n odd)
+    for n in range(4):
+        inner = CondBox(pf("q"), _nots(n, FALSUM))
+        assert sigma(CondBox(pf("p"), inner)) == pf(f"~(~[p]false & ~{render(inner)})")
+    assert sigma(pf("[p]E q")) == pf("~(~[p]false & [q]~~false)")  # E q is ~[q]~~false
+    assert sigma(pf("[p]A q")) == pf("~(~[p]false & ~[~q]~~false)")  # A q is ~~[~q]~~false
 
 
 def test_sigma_lifted_body_equals_the_2c_body():
@@ -231,8 +272,21 @@ def test_sigma_lifted_body_equals_the_2c_body():
             assert disagreement(lifted, body, 4, 3) is None, (b, g)
 
 
+def _chain(depth):
+    """``[p][q]...`` with ``depth`` conditionals over distinct atoms."""
+    names = [f"a{i}" for i in range(depth + 1)]
+    return pf("".join(f"[{a}]" for a in names[:-1]) + names[-1])
+
+
 def test_sigma_output_size_regression():
-    assert sigma(pf("[p][q][r][s]t")).size <= 375
+    # measured: 27, 53, 83, 117, 155, 197, 243 printed nodes at depths 2-8, 467 at 12 and 1,107 at 20,
+    # that is 2n^2 + 16n - 13; the shared DAG grows by 12 nodes a level
+    assert sigma(pf("[p][q][r][s]t")).size == 83
+    for depth in range(2, 21):
+        flat = sigma(_chain(depth))
+        assert modal_depth(flat) == 1
+        assert flat.size <= 2 * depth * depth + 16 * depth - 13, depth
+        assert len(set(subformulas(flat))) <= 12 * depth - 5, depth
 
 
 def test_sigma_builds_no_double_negation():
@@ -249,9 +303,9 @@ def test_sigma_builds_no_double_negation():
 
 def test_sigma_output_cap(monkeypatch):
     monkeypatch.setattr(reduction, "MAX_SIGMA_NODES", 500)
-    assert sigma(pf("[p][q][r][s]t")).size == 375
+    assert sigma(_chain(12)).size == 467
     with pytest.raises(RewriteError, match="exceeds the cap of 500 nodes"):
-        sigma(pf("[p][q][r][s][t]u"))
+        sigma(_chain(13))  # 533 nodes
     # a mixed body whose clause product is over the cap
     mixed = " | ".join(f"(a{i} & [b{i}]c{i})" for i in range(10))
     with pytest.raises(RewriteError, match="exceeds the cap"):
